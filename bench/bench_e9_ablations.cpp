@@ -1,4 +1,4 @@
-// E9 — Ablations of the implementation's design decisions (DESIGN.md §4):
+// E9 — Ablations of the implementation's design decisions:
 //   (1) union-size memoization across sample() calls,
 //   (2) membership-oracle amortization via stored reach profiles,
 //   (3) sample-list recycling under calibrated constants,

@@ -1,6 +1,6 @@
-// Automaton workload families for tests and benchmarks (DESIGN.md §5). Each
-// family stresses a different regime of the FPRAS: union overlap, ambiguity,
-// sparsity, density, predecessor structure.
+// Automaton workload families for tests and benchmarks. Each family stresses
+// a different regime of the FPRAS: union overlap, ambiguity, sparsity,
+// density, predecessor structure.
 
 #ifndef NFACOUNT_AUTOMATA_GENERATORS_HPP_
 #define NFACOUNT_AUTOMATA_GENERATORS_HPP_

@@ -57,13 +57,6 @@ struct SampleRef {
   Word ToWord() const { return Word(symbols, symbols + length); }
 };
 
-/// AppUnionBatched customization point (see union_mc.hpp): a SampleRef's
-/// membership profile is its raw word span.
-inline const uint64_t* ProfileWordsData(const SampleRef& s) {
-  return s.profile;
-}
-inline size_t ProfileWordsCount(const SampleRef& s) { return s.profile_words; }
-
 /// Flat struct-of-arrays storage for one cell's sample set S(q^ℓ). All
 /// samples of a cell share the word length ℓ, so both slabs are
 /// fixed-stride: sample i's symbols live at [i·ℓ, (i+1)·ℓ) of `symbols` and

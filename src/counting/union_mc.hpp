@@ -11,12 +11,19 @@
 //   const SampleT& Sample(int64_t idx) const; // S_i in draw order
 //   bool    Contains(const SampleT&) const;   // membership oracle O_i
 //
+// AppUnion and AppUnionBatched share one trial loop that runs in two passes:
+// all t input draws first (expected O(1) each, through DiscreteTable's guide
+// table), then one scan of each sample list's read prefix (see
+// union_mc_internal::TwoPassTrials). Its outcome is bit-identical to the
+// sequential per-trial loop of Algorithm 1 on the same Rng state.
+//
 // A resampling variant (fresh draws, classic Karp-Luby) is provided for the
 // DNF application and as a test oracle.
 
 #ifndef NFACOUNT_COUNTING_UNION_MC_HPP_
 #define NFACOUNT_COUNTING_UNION_MC_HPP_
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -56,13 +63,16 @@ class MembershipBatch {
     return profile.Intersects(prefix_[i]);
   }
 
-  /// Same check over a raw profile-word span (the SampleBlock slab form; no
-  /// per-sample Bitset needs to exist). The caller passes the kernel table
-  /// so a trial loop fetches the dispatch once, not once per trial.
-  bool CoveredBefore(const uint64_t* profile, size_t profile_words,
-                     size_t i, const simd::BitsetKernels& kern) const {
+  /// Batched form over a fixed-stride profile slab (the SampleBlock layout):
+  /// how many of the `n` rows at `profiles` (stride `profile_words`) are NOT
+  /// covered before input `i` — one kernel call instead of n checks.
+  int64_t CountUncovered(const uint64_t* profiles, size_t profile_words,
+                         int64_t n, size_t i,
+                         const simd::BitsetKernels& kern) const {
     assert(profile_words == prefix_[i].words().size());
-    return kern.intersects(profile, prefix_[i].words().data(), profile_words);
+    return static_cast<int64_t>(kern.count_disjoint(
+        profiles, profile_words, static_cast<size_t>(n),
+        prefix_[i].words().data()));
   }
 
   /// Number of inputs the current prefix masks cover.
@@ -83,7 +93,7 @@ class MembershipBatch {
 /// AppUnionScratch per worker slot; see FprasEngine::WorkerScratch).
 struct AppUnionScratch {
   MembershipBatch batch;  ///< covered-earlier prefix masks
-  DiscreteTable table;    ///< prefix-sum index-draw table over the k sizes
+  DiscreteTable table;    ///< guide-table index draws over the k sizes
 };
 
 /// What to do when an input's sample list runs out mid-call.
@@ -108,8 +118,8 @@ struct AppUnionParams {
   double delta = 0.1;  ///< failure probability δ of this call
   double eps_sz = 0.0; ///< accuracy (1+ε_sz) of the input size estimates
 
-  /// Calibration multiplier on the worst-case trial count (DESIGN.md §2,
-  /// "Substitutions"). 1.0 = the paper's constant.
+  /// Calibration multiplier on the worst-case trial count (see
+  /// `Calibration` in fpras/params.hpp). 1.0 = the paper's constant.
   double trial_scale = 1.0;
   int64_t min_trials = 8;               ///< floor applied after scaling
   int64_t max_trials = int64_t{1} << 40;///< cap applied after scaling
@@ -137,11 +147,39 @@ int64_t AppUnionTrialCount(const AppUnionParams& params, double sum_sz,
 /// thresh = 24·(1+ε_sz)²/ε²·ln(4k/δ) (Theorem 1).
 double AppUnionThresh(const AppUnionParams& params, int64_t k);
 
-/// Algorithm 1. `inputs` are non-owning pointers; per-input read cursors are
-/// local to this call (lists are not mutated, see DESIGN.md §4).
-template <typename Input>
-AppUnionOutcome AppUnion(const std::vector<const Input*>& inputs,
-                         const AppUnionParams& params, Rng& rng) {
+namespace union_mc_internal {
+
+/// Uncovered samples and answered membership probes over one index range of
+/// one input's sample list.
+struct PrefixTally {
+  int64_t uncovered = 0;
+  int64_t probes = 0;
+};
+
+/// The trial loop of Algorithm 1, shared by AppUnion and AppUnionBatched.
+///
+/// The sequential loop draws an input i per trial, reads the next sample of
+/// S_i (cursor c), and counts a hit when no earlier set covers it. Whether a
+/// trial hits depends only on (i, c), never on the trial's position, so the
+/// loop runs as two passes with bit-identical results:
+///
+///  1. Draw the same t indices from the same Rng, only counting c_i per
+///     input. The pass stops at exactly the trial where the sequential loop
+///     breaks: c_i == |S_i| under kBreak/kScaleByCompleted, |S_i| == 0 under
+///     kRecycle.
+///  2. Scan each set's read prefix once. Recycling reads S_i ⌊c_i/|S_i|⌋
+///     times in full and then its first c_i mod |S_i| samples, so
+///     Y = Σ_i ⌊c_i/|S_i|⌋·U_i(|S_i|) + U_i(c_i mod |S_i|), where U_i(p)
+///     counts uncovered samples among the first p of S_i; membership probes
+///     assemble the same way.
+///
+/// `tally(i, begin, end)` returns the PrefixTally of samples [begin, end) of
+/// input i — the only step the two estimators do differently. Each sample is
+/// tallied at most once per call.
+template <typename Input, typename Tally>
+AppUnionOutcome TwoPassTrials(const std::vector<const Input*>& inputs,
+                              const AppUnionParams& params,
+                              DiscreteTable& table, Rng& rng, Tally&& tally) {
   AppUnionOutcome out;
   const int k = static_cast<int>(inputs.size());
   if (k == 0) return out;
@@ -154,34 +192,49 @@ AppUnionOutcome AppUnion(const std::vector<const Input*>& inputs,
     max_sz = std::max(max_sz, sizes[i]);
   }
   if (!(sum_sz > 0.0)) return out;  // all inputs empty: the union is empty
+  // The k size estimates are fixed for all t trials; the guide table draws
+  // the bit-identical index Rng::DiscreteIndex would, in expected O(1).
+  table.Rebuild(sizes);
 
   const int64_t t = AppUnionTrialCount(params, sum_sz, max_sz);
   out.trials = t;
 
-  std::vector<int64_t> cursor(k, 0);
+  // Pass 1: per-input read counts c_i. limits[i] is the count at which the
+  // next draw of input i ends the loop (Line 8 of Alg. 1).
+  std::vector<int64_t> num_samples(k), limits(k), counts(k, 0);
+  for (int i = 0; i < k; ++i) {
+    num_samples[i] = inputs[i]->num_samples();
+    limits[i] = (params.starvation == StarvationPolicy::kRecycle &&
+                 num_samples[i] > 0)
+                    ? INT64_MAX
+                    : num_samples[i];
+  }
   for (int64_t trial = 0; trial < t; ++trial) {
-    int i = rng.DiscreteIndex(sizes);
-    if (i < 0) break;
-    if (cursor[i] >= inputs[i]->num_samples()) {  // Line 8: starvation
+    const int i = table.Draw(rng);
+    assert(i >= 0);
+    if (counts[i] == limits[i]) {  // starvation without recycling
       out.starved = true;
-      if (params.starvation == StarvationPolicy::kRecycle &&
-          inputs[i]->num_samples() > 0) {
-        cursor[i] = 0;  // wrap: re-read the list from the front
-      } else {
-        break;
-      }
+      break;
     }
-    const auto& sample = inputs[i]->Sample(cursor[i]++);
-    bool covered_earlier = false;
-    for (int j = 0; j < i; ++j) {
-      ++out.membership_checks;
-      if (inputs[j]->Contains(sample)) {
-        covered_earlier = true;
-        break;
-      }
+    ++counts[i];
+  }
+
+  // Pass 2: one scan of each set's read prefix.
+  for (int i = 0; i < k; ++i) {
+    const int64_t c = counts[i];
+    if (c == 0) continue;  // also covers every empty list
+    const int64_t ns = num_samples[i];
+    out.completed_trials += c;
+    if (c > ns) out.starved = true;  // recycled: the cursor wrapped
+    const int64_t full = c / ns, rem = c % ns;
+    const PrefixTally head = tally(i, int64_t{0}, rem);
+    out.hits += head.uncovered;
+    out.membership_checks += head.probes;
+    if (full > 0) {
+      const PrefixTally rest = tally(i, rem, ns);
+      out.hits += full * (head.uncovered + rest.uncovered);
+      out.membership_checks += full * (head.probes + rest.probes);
     }
-    if (!covered_earlier) ++out.hits;
-    ++out.completed_trials;
   }
 
   const double denom =
@@ -193,94 +246,75 @@ AppUnionOutcome AppUnion(const std::vector<const Input*>& inputs,
   return out;
 }
 
-/// Membership-profile customization point for AppUnionBatched: where a
-/// sample's profile words live. The default template handles
-/// StoredSample-likes (a `.reach` Bitset member); span-backed sample types
-/// (e.g. SampleRef in automata/unrolled.hpp) declare non-template overloads
-/// next to their definition, which win at instantiation time.
-template <typename S>
-inline const uint64_t* ProfileWordsData(const S& s) {
-  return s.reach.words().data();
-}
-template <typename S>
-inline size_t ProfileWordsCount(const S& s) {
-  return s.reach.words().size();
+}  // namespace union_mc_internal
+
+/// Algorithm 1. `inputs` are non-owning pointers; per-input read cursors are
+/// local to this call (the sample lists are never mutated). The
+/// covered-earlier check probes T_0..T_{i-1} one Contains() at a time;
+/// `membership_checks` counts those probes for every trial, exactly as a
+/// sequential per-trial loop would.
+template <typename Input>
+AppUnionOutcome AppUnion(const std::vector<const Input*>& inputs,
+                         const AppUnionParams& params, Rng& rng) {
+  DiscreteTable table;
+  return union_mc_internal::TwoPassTrials(
+      inputs, params, table, rng, [&](int i, int64_t begin, int64_t end) {
+        union_mc_internal::PrefixTally tally;
+        for (int64_t idx = begin; idx < end; ++idx) {
+          const auto& sample = inputs[i]->Sample(idx);
+          bool covered_earlier = false;
+          for (int j = 0; j < i && !covered_earlier; ++j) {
+            ++tally.probes;
+            covered_earlier = inputs[j]->Contains(sample);
+          }
+          if (!covered_earlier) ++tally.uncovered;
+        }
+        return tally;
+      });
 }
 
 /// Algorithm 1 with batched membership (the CSR-hot-path variant of
 /// AppUnion). Identical estimator and identical RNG stream — given the same
-/// inputs, params, and rng state it returns the same estimate as AppUnion —
-/// but the covered-earlier loop is replaced by one word-parallel prefix-mask
-/// intersection per trial (see MembershipBatch). Input extends the AppUnion
-/// concept with:
+/// inputs, params, and rng state it returns the same outcome as AppUnion —
+/// but the covered-earlier check of a whole sample-list prefix is one
+/// prefix-mask kernel call (see MembershipBatch::CountUncovered). Input
+/// extends the AppUnion concept with:
 ///   int    owner()    const;  // dense id of the set's owning state
 ///   size_t universe() const;  // owner-id universe size (m for NFA states)
-/// and Sample(idx) must return a value whose membership profile over that
-/// universe (true at bit q iff the sample lies in the set owned by q) is
-/// reachable via ProfileWordsData/ProfileWordsCount — a StoredSample's
-/// `.reach` Bitset, or a SampleRef's raw slab span.
+///   const uint64_t* profile_slab()   const;  // membership profiles, in
+///   size_t          profile_stride() const;  //   draw order, fixed stride
+/// where sample j's profile (bit q set iff the sample lies in the set owned
+/// by q) occupies profile_slab()[j·stride, (j+1)·stride) and the stride is
+/// the universe's word count — a SampleBlock's profile slab.
 ///
 /// `scratch` is caller-owned so repeated calls (one per (q, ℓ, b) in
 /// Algorithm 3) reuse the prefix-mask and draw-table storage.
 /// `membership_checks` counts answered probes (i per trial) to stay
-/// comparable with the legacy loop's upper bound.
+/// comparable with the per-probe loop's upper bound.
 template <typename Input>
 AppUnionOutcome AppUnionBatched(const std::vector<const Input*>& inputs,
                                 const AppUnionParams& params,
                                 AppUnionScratch& scratch, Rng& rng) {
-  AppUnionOutcome out;
-  const int k = static_cast<int>(inputs.size());
-  if (k == 0) return out;
-
-  std::vector<double> sizes(k);
-  std::vector<int> owners(k);
-  double sum_sz = 0.0, max_sz = 0.0;
-  for (int i = 0; i < k; ++i) {
-    sizes[i] = inputs[i]->size_estimate();
-    owners[i] = inputs[i]->owner();
-    sum_sz += sizes[i];
-    max_sz = std::max(max_sz, sizes[i]);
-  }
-  if (!(sum_sz > 0.0)) return out;  // all inputs empty: the union is empty
+  if (inputs.empty()) return AppUnionOutcome{};
+  std::vector<int> owners(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) owners[i] = inputs[i]->owner();
   scratch.batch.Rebuild(inputs[0]->universe(), owners);
-  // The k size estimates are fixed for all t trials: draw through a flat
-  // prefix-sum table (O(log k), bit-identical selection to DiscreteIndex).
-  scratch.table.Rebuild(sizes);
-
-  const int64_t t = AppUnionTrialCount(params, sum_sz, max_sz);
-  out.trials = t;
 
   const simd::BitsetKernels& kern = simd::ActiveKernels();
-  std::vector<int64_t> cursor(k, 0);
-  for (int64_t trial = 0; trial < t; ++trial) {
-    int i = scratch.table.Draw(rng);
-    if (i < 0) break;
-    if (cursor[i] >= inputs[i]->num_samples()) {  // Line 8: starvation
-      out.starved = true;
-      if (params.starvation == StarvationPolicy::kRecycle &&
-          inputs[i]->num_samples() > 0) {
-        cursor[i] = 0;  // wrap: re-read the list from the front
-      } else {
-        break;
-      }
-    }
-    const auto& sample = inputs[i]->Sample(cursor[i]++);
-    out.membership_checks += i;
-    const bool covered_earlier =
-        i > 0 && scratch.batch.CoveredBefore(ProfileWordsData(sample),
-                                             ProfileWordsCount(sample),
-                                             static_cast<size_t>(i), kern);
-    if (!covered_earlier) ++out.hits;
-    ++out.completed_trials;
-  }
-
-  const double denom =
-      (params.starvation == StarvationPolicy::kScaleByCompleted &&
-       out.completed_trials > 0)
-          ? static_cast<double>(out.completed_trials)
-          : static_cast<double>(t);
-  out.estimate = (static_cast<double>(out.hits) / denom) * sum_sz;
-  return out;
+  return union_mc_internal::TwoPassTrials(
+      inputs, params, scratch.table, rng,
+      [&](int i, int64_t begin, int64_t end) {
+        const int64_t n = end - begin;
+        using union_mc_internal::PrefixTally;
+        if (i == 0 || n == 0) return PrefixTally{n, 0};  // nothing earlier
+        const Input& in = *inputs[i];
+        const size_t stride = in.profile_stride();
+        return PrefixTally{
+            scratch.batch.CountUncovered(
+                in.profile_slab() + static_cast<size_t>(begin) * stride,
+                stride, n, static_cast<size_t>(i), kern),
+            static_cast<int64_t>(i) * n};
+      });
 }
 
 /// Classic Karp-Luby variant: draws fresh samples via Input::Draw(rng) with

@@ -1,7 +1,7 @@
 // ACJR-style baseline (Arenas, Croquevielle, Jayaram, Riveros; STOC'19 /
 // JACM'21): the comparator the paper improves on.
 //
-// Substitution note (DESIGN.md §2): no public implementation of the ACJR
+// Substitution note: no public implementation of the ACJR
 // FPRAS exists, and its worst-case constants are even further from feasible
 // than this paper's. Both algorithms instantiate the template of Fig. 1; the
 // complexity gap the paper reports is driven by (a) the per-(state,level)

@@ -167,6 +167,10 @@ struct PredecessorInput {
   }
   int owner() const { return static_cast<int>(state); }
   size_t universe() const { return static_cast<size_t>(nfa->num_states()); }
+  const uint64_t* profile_slab() const {
+    return data->samples.profiles_slab().data();
+  }
+  size_t profile_stride() const { return data->samples.profile_words(); }
 };
 
 /// Everything one level of the unrolled DP contributes: the Inv-1 count
@@ -644,7 +648,8 @@ struct CountOptions {
   double delta = 0.1;  ///< failure probability δ
   Schedule schedule = Schedule::kFaster;  ///< sample-budget schedule to run
   /// Practical() by default: the faithful worst-case constants are
-  /// infeasible on any hardware (DESIGN.md §2) — opt in via Faithful().
+  /// infeasible on any hardware (see `Calibration` in params.hpp) — opt in
+  /// via Faithful().
   Calibration calibration = Calibration::Practical();
   uint64_t seed = 0x5eedf00dULL;  ///< seed of the whole randomized run
   bool perturb_support = true;  ///< see FprasParams::perturb_support

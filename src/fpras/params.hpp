@@ -1,5 +1,5 @@
 // Parameter schedules of the FPRAS (Algorithm 3, lines 1-3) and of the
-// ACJR-style baseline, plus the calibration knobs described in DESIGN.md §2.
+// ACJR-style baseline, plus the calibration knobs (`Calibration` below).
 //
 // Faithful formulas (calibration = 1):
 //   β    = ε / (4n²)                                       (per-level accuracy)
@@ -68,7 +68,7 @@ struct FprasParams {
 
   Calibration calibration;
 
-  // Behavior flags (DESIGN.md §4; each ablated in E9).
+  // Behavior flags (each ablated in E9, bench/bench_e9_ablations.cpp).
   bool perturb_support = true; ///< Alg. 3 lines 16-19 resampling branch
   bool memoize_unions = true;  ///< cache sz_b by (level, P-set) across samples
   bool amortize_oracle = true; ///< reach-profile membership (vs recompute)

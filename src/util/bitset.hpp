@@ -1,6 +1,7 @@
 // Dynamic fixed-capacity bitset used for NFA state sets: reachability
 // frontiers, predecessor expansions, and the amortized membership oracle of
-// the FPRAS (one bit probe per membership query, see DESIGN.md §4).
+// the FPRAS (one bit probe per membership query, see docs/ARCHITECTURE.md,
+// "The CSR hot-path layout").
 
 #ifndef NFACOUNT_UTIL_BITSET_HPP_
 #define NFACOUNT_UTIL_BITSET_HPP_

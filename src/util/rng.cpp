@@ -1,15 +1,9 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 
 namespace nfacount {
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -31,18 +25,6 @@ Rng Rng::ForSubstream(uint64_t seed, uint64_t a, uint64_t b) {
   key = HashCombine(key, a);
   key = HashCombine(key, b);
   return Rng(key);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformU64(uint64_t bound) {
@@ -102,31 +84,34 @@ int Rng::DiscreteIndex(const std::vector<double>& weights) {
 Rng Rng::Split() { return Rng(NextU64() ^ 0x9e3779b97f4a7c15ULL); }
 
 void DiscreteTable::Rebuild(const std::vector<double>& weights) {
-  weights_ = weights;
-  prefix_.resize(weights.size());
+  const size_t k = weights.size();
+  prefix_.resize(k);
   double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
+  last_positive_ = -1;
+  for (size_t i = 0; i < k; ++i) {
     assert(weights[i] >= 0.0);
     acc += weights[i];
     prefix_[i] = acc;
+    if (weights[i] > 0.0) last_positive_ = static_cast<int>(i);
   }
   total_ = acc;
-}
 
-int DiscreteTable::Draw(Rng& rng) const {
-  if (!(total_ > 0.0)) return -1;
-  const double u = rng.UniformDouble() * total_;
-  // First i with u < prefix_[i] — the same condition DiscreteIndex's linear
-  // scan tests, on the same partial sums.
-  auto it = std::upper_bound(prefix_.begin(), prefix_.end(), u);
-  if (it != prefix_.end()) return static_cast<int>(it - prefix_.begin());
-  // Floating-point slack: DiscreteIndex's exact fallback — the last positive
-  // weight (scanned on the retained weights, since a tiny weight can be
-  // absorbed by the running sum and leave no strict prefix increase).
-  for (size_t i = weights_.size(); i-- > 0;) {
-    if (weights_[i] > 0.0) return static_cast<int>(i);
+  // K = 2^B buckets: the next power of two >= 2k, capped at 2^16.
+  constexpr int kMaxGuideBits = 16;
+  int bits = 1;
+  while (bits < kMaxGuideBits && (size_t{1} << bits) < 2 * k) ++bits;
+  const size_t buckets = size_t{1} << bits;
+  guide_shift_ = 53 - bits;
+  guide_.resize(buckets);
+  // start[b] = #{i : prefix[i] <= fl((b/K)·total)}; the thresholds never
+  // decrease in b, so one merge pass fills every bucket.
+  const double inv_buckets = 1.0 / static_cast<double>(buckets);
+  size_t start = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    const double threshold = (static_cast<double>(b) * inv_buckets) * total_;
+    while (start < k && prefix_[start] <= threshold) ++start;
+    guide_[b] = static_cast<uint32_t>(start);
   }
-  return -1;
 }
 
 }  // namespace nfacount

@@ -6,6 +6,7 @@
 #ifndef NFACOUNT_UTIL_RNG_HPP_
 #define NFACOUNT_UTIL_RNG_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,7 +53,17 @@ class Rng {
   static Rng ForSubstream(uint64_t seed, uint64_t a, uint64_t b);
 
   /// Raw 64 uniform bits.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   /// `bound` must be > 0.
@@ -82,22 +93,37 @@ class Rng {
   uint64_t operator()() { return NextU64(); }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 
-/// Flat prefix-sum table over a fixed weight vector, for loops that draw many
-/// indices from the same distribution (AppUnion's trial loop draws t ≫ k
-/// times from k fixed size estimates). Draw() is O(log k) per draw against
-/// DiscreteIndex's O(k) scan, consumes exactly one UniformDouble, and selects
-/// the bit-identical index for the same generator state: the prefix sums
-/// accumulate in DiscreteIndex's order, and the floating-point-slack fallback
-/// scans the same retained weights. Rebuild() reuses the table's storage
-/// across calls.
+/// Prefix-sum table with a guide index over a fixed weight vector, for loops
+/// that draw many indices from the same distribution (AppUnion's trial loop
+/// draws t ≫ k times from k fixed size estimates). Draw() consumes exactly
+/// one 64-bit output — the one UniformDouble would — and selects the
+/// bit-identical index Rng::DiscreteIndex picks for the same generator state,
+/// in expected O(1) time instead of DiscreteIndex's O(k) scan.
+///
+/// The prefix sums accumulate in DiscreteIndex's order, so the answer is the
+/// first i with u < prefix[i], u = UniformDouble()·total. The guide table
+/// splits [0, 1) into K = 2^B buckets (K the next power of two ≥ 2k, capped
+/// at 2^16): the draw's bucket b is the top B bits of the 53-bit integer
+/// UniformDouble is built from, so r ≥ b/K holds exactly for its r ∈ [0, 1).
+/// Bucket b starts the scan at #{i : prefix[i] ≤ fl((b/K)·total)}; rounding
+/// is monotone, so u = fl(r·total) ≥ fl((b/K)·total) and no index below the
+/// start can satisfy u < prefix[i]. The scan then walks forward to the first
+/// i that does. When none does (floating-point slack), the draw falls back to
+/// the last positive weight, exactly as DiscreteIndex does. Rebuild() reuses
+/// the table's storage across calls.
 class DiscreteTable {
  public:
   DiscreteTable() = default;
 
-  /// Recomputes the prefix sums for `weights` (non-negative).
+  /// Recomputes the prefix sums and the guide table for `weights`
+  /// (non-negative).
   void Rebuild(const std::vector<double>& weights);
 
   /// True when the weights had a positive finite sum.
@@ -108,11 +134,21 @@ class DiscreteTable {
 
   /// Index i drawn with probability weights[i] / total, or -1 when !valid().
   /// Identical selection to Rng::DiscreteIndex on the same weights and rng.
-  int Draw(Rng& rng) const;
+  int Draw(Rng& rng) const {
+    if (!(total_ > 0.0)) return -1;
+    const uint64_t bits = rng.NextU64() >> 11;  // UniformDouble's 53 bits
+    const double u = static_cast<double>(bits) * 0x1.0p-53 * total_;
+    size_t i = guide_[static_cast<size_t>(bits >> guide_shift_)];
+    const size_t k = prefix_.size();
+    while (i < k && !(u < prefix_[i])) ++i;
+    return i < k ? static_cast<int>(i) : last_positive_;
+  }
 
  private:
   std::vector<double> prefix_;
-  std::vector<double> weights_;  // retained for the exact fallback scan
+  std::vector<uint32_t> guide_;  // per bucket: first index the scan tests
+  int guide_shift_ = 53;         // 53 - B: bucket = bits >> guide_shift_
+  int last_positive_ = -1;       // the floating-point-slack fallback
   double total_ = 0.0;
 };
 

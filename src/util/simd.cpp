@@ -55,9 +55,19 @@ size_t PopcountScalar(const uint64_t* w, size_t n) {
   return total;
 }
 
+size_t CountDisjointScalar(const uint64_t* profiles, size_t stride, size_t n,
+                           const uint64_t* mask) {
+  size_t count = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (!IntersectsScalar(profiles + j * stride, mask, stride)) ++count;
+  }
+  return count;
+}
+
 constexpr BitsetKernels kScalar = {
-    "scalar",      OrScalar,         AndScalar, AndNotScalar,
-    OrMaskedScalar, IntersectsScalar, PopcountScalar,
+    "scalar",         OrScalar,         AndScalar,
+    AndNotScalar,     OrMaskedScalar,   IntersectsScalar,
+    PopcountScalar,   CountDisjointScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -162,9 +172,47 @@ __attribute__((target("avx2"))) size_t PopcountAvx2(const uint64_t* w,
   return total;
 }
 
+// Rows of one or two words pack four or two samples into each vector: a
+// lane compares equal to zero iff its masked word is empty, and a sample is
+// disjoint iff all of its lanes are. Wider rows fall back to a per-row
+// IntersectsAvx2.
+__attribute__((target("avx2"))) size_t CountDisjointAvx2(
+    const uint64_t* profiles, size_t stride, size_t n, const uint64_t* mask) {
+  const __m256i zero = _mm256_setzero_si256();
+  size_t count = 0;
+  size_t j = 0;
+  if (stride == 1) {
+    const __m256i m = _mm256_set1_epi64x(static_cast<long long>(mask[0]));
+    for (; j + 4 <= n; j += 4) {
+      __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(profiles + j));
+      __m256i empty = _mm256_cmpeq_epi64(_mm256_and_si256(v, m), zero);
+      count += static_cast<size_t>(__builtin_popcount(
+          _mm256_movemask_pd(_mm256_castsi256_pd(empty))));
+    }
+  } else if (stride == 2) {
+    const __m256i m = _mm256_setr_epi64x(
+        static_cast<long long>(mask[0]), static_cast<long long>(mask[1]),
+        static_cast<long long>(mask[0]), static_cast<long long>(mask[1]));
+    for (; j + 2 <= n; j += 2) {
+      __m256i v = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(profiles + 2 * j));
+      __m256i empty = _mm256_cmpeq_epi64(_mm256_and_si256(v, m), zero);
+      const int lanes = _mm256_movemask_pd(_mm256_castsi256_pd(empty));
+      count += static_cast<size_t>((lanes & 0x3) == 0x3) +
+               static_cast<size_t>((lanes & 0xc) == 0xc);
+    }
+  }
+  for (; j < n; ++j) {
+    if (!IntersectsAvx2(profiles + j * stride, mask, stride)) ++count;
+  }
+  return count;
+}
+
 constexpr BitsetKernels kAvx2 = {
-    "avx2",       OrAvx2,         AndAvx2, AndNotAvx2,
-    OrMaskedAvx2, IntersectsAvx2, PopcountAvx2,
+    "avx2",         OrAvx2,         AndAvx2,
+    AndNotAvx2,     OrMaskedAvx2,   IntersectsAvx2,
+    PopcountAvx2,   CountDisjointAvx2,
 };
 
 #endif  // NFACOUNT_HAVE_AVX2_KERNELS

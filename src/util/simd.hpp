@@ -35,6 +35,12 @@ struct BitsetKernels {
   bool (*intersects)(const uint64_t* a, const uint64_t* b, size_t nwords);
   /// Σ popcount(w[i]).
   size_t (*popcount)(const uint64_t* w, size_t nwords);
+  /// Number of j in [0, n) whose row profiles[j·stride_words ..
+  /// (j+1)·stride_words) shares no set bit with mask[0 .. stride_words) —
+  /// `n` intersects() calls over a fixed-stride slab, folded into one count.
+  /// stride_words must be > 0.
+  size_t (*count_disjoint)(const uint64_t* profiles, size_t stride_words,
+                           size_t n, const uint64_t* mask);
 };
 
 /// The portable reference implementation (always available).

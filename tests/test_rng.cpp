@@ -138,6 +138,84 @@ TEST(Rng, DiscreteIndexAllZeroReturnsMinusOne) {
   EXPECT_EQ(rng.DiscreteIndex({}), -1);
 }
 
+/// Draws `draws` indices through a DiscreteTable and through
+/// Rng::DiscreteIndex from two generators on the same seed; every selection
+/// must agree, and both generators must stay in lockstep.
+void ExpectTableMatchesDiscreteIndex(const std::vector<double>& weights,
+                                     uint64_t seed, int draws = 100000) {
+  DiscreteTable table;
+  table.Rebuild(weights);
+  Rng via_table(seed), via_index(seed);
+  for (int d = 0; d < draws; ++d) {
+    const int expected = via_index.DiscreteIndex(weights);
+    ASSERT_EQ(table.Draw(via_table), expected)
+        << "draw " << d << " of k=" << weights.size();
+  }
+  EXPECT_EQ(via_table.NextU64(), via_index.NextU64());
+}
+
+TEST(DiscreteTable, MatchesDiscreteIndexOnPlainWeights) {
+  Rng gen(41);
+  for (size_t k : {size_t{2}, size_t{3}, size_t{7}, size_t{64}, size_t{300}}) {
+    std::vector<double> weights(k);
+    for (double& w : weights) w = gen.UniformDouble() * 100.0;
+    ExpectTableMatchesDiscreteIndex(weights, 1000 + k);
+  }
+}
+
+TEST(DiscreteTable, MatchesDiscreteIndexAroundZeroWeights) {
+  ExpectTableMatchesDiscreteIndex({0.0, 0.0, 0.0, 1.0, 2.0, 3.0}, 43);
+  ExpectTableMatchesDiscreteIndex({1.0, 2.0, 3.0, 0.0, 0.0}, 44);
+  ExpectTableMatchesDiscreteIndex({1.0, 0.0, 0.0, 2.0, 0.0, 3.0}, 45);
+}
+
+TEST(DiscreteTable, MatchesDiscreteIndexWhenTinyWeightIsAbsorbed) {
+  // 1e-20 vanishes in the running sum: its prefix equals its predecessor's,
+  // so it can never be selected — by either method.
+  ExpectTableMatchesDiscreteIndex({1.0, 1e-20, 1.0}, 47);
+  ExpectTableMatchesDiscreteIndex({1e-20, 1.0, 1e-20}, 48);
+  ExpectTableMatchesDiscreteIndex({3.0, 1e-30}, 49);
+}
+
+TEST(DiscreteTable, MatchesDiscreteIndexForSingleWeight) {
+  ExpectTableMatchesDiscreteIndex({5.0}, 51);
+  ExpectTableMatchesDiscreteIndex({0.0, 5.0, 0.0}, 52);
+}
+
+TEST(DiscreteTable, MatchesDiscreteIndexAboveTheGuideCap) {
+  // k > 2^16 = the bucket cap, so some buckets span several indices.
+  // Harmonic weights reach deep indices; every tenth weight is zero.
+  // DiscreteIndex re-sums all k weights per draw, so this vector gets 10^4
+  // draws: 10^5 would take minutes in the sanitizer builds.
+  const size_t k = (size_t{1} << 16) + 1;
+  std::vector<double> weights(k);
+  for (size_t i = 0; i < k; ++i) {
+    weights[i] = i % 10 == 9 ? 0.0 : 1.0 / static_cast<double>(i + 1);
+  }
+  ExpectTableMatchesDiscreteIndex(weights, 53, /*draws=*/10000);
+}
+
+TEST(DiscreteTable, MatchesDiscreteIndexOnHugeAndSubnormalTotals) {
+  ExpectTableMatchesDiscreteIndex({1e300, 3e300, 1e299, 0.0}, 55);
+  // The sum overflows to +inf: every draw takes the slack fallback.
+  ExpectTableMatchesDiscreteIndex({1e308, 1e308, 1e308, 0.0}, 56);
+  ExpectTableMatchesDiscreteIndex({4.9e-324, 1e-320, 0.0, 2e-322}, 57);
+  ExpectTableMatchesDiscreteIndex({1e-310, 1e-315, 1e-312}, 58);
+}
+
+TEST(DiscreteTable, InvalidWithoutPositiveTotal) {
+  DiscreteTable table;
+  Rng rng(59);
+  EXPECT_FALSE(table.valid());
+  EXPECT_EQ(table.Draw(rng), -1);
+  table.Rebuild({0.0, 0.0});
+  EXPECT_FALSE(table.valid());
+  EXPECT_EQ(table.Draw(rng), -1);
+  table.Rebuild({2.0, 0.5});
+  EXPECT_TRUE(table.valid());
+  EXPECT_DOUBLE_EQ(table.total(), 2.5);
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng parent(31);
   Rng child = parent.Split();

@@ -132,6 +132,91 @@ TEST(Simd, Avx2IntersectsFindsSingleSharedBit) {
   }
 }
 
+/// Sparse random words (~1/8 of bits set), so that both disjoint and
+/// intersecting rows are common.
+std::vector<uint64_t> SparseWords(size_t n, Rng& rng) {
+  std::vector<uint64_t> out(n);
+  for (auto& w : out) w = rng.NextU64() & rng.NextU64() & rng.NextU64();
+  return out;
+}
+
+size_t NaiveCountDisjoint(const std::vector<uint64_t>& profiles,
+                          size_t stride, size_t n,
+                          const std::vector<uint64_t>& mask) {
+  size_t count = 0;
+  for (size_t j = 0; j < n; ++j) {
+    bool hit = false;
+    for (size_t w = 0; w < stride; ++w) {
+      hit = hit || (profiles[j * stride + w] & mask[w]) != 0;
+    }
+    if (!hit) ++count;
+  }
+  return count;
+}
+
+TEST(Simd, ScalarCountDisjointMatchesDirectComputation) {
+  Rng rng(TestSeed(606));
+  for (size_t stride = 1; stride <= 5; ++stride) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{33}}) {
+      const std::vector<uint64_t> profiles = SparseWords(n * stride, rng);
+      const std::vector<uint64_t> mask = SparseWords(stride, rng);
+      EXPECT_EQ(ScalarKernels().count_disjoint(profiles.data(), stride, n,
+                                               mask.data()),
+                NaiveCountDisjoint(profiles, stride, n, mask))
+          << "stride=" << stride << " n=" << n;
+    }
+  }
+}
+
+TEST(Simd, Avx2CountDisjointMatchesScalar) {
+  const BitsetKernels* avx2 = Avx2Kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host";
+  Rng rng(TestSeed(607));
+  // Strides 1-4 words; n runs through every residue of the vector width,
+  // plus large n that is not a multiple of it.
+  for (size_t stride = 1; stride <= 4; ++stride) {
+    for (size_t n = 0; n <= 13; ++n) {
+      for (int rep = 0; rep < 8; ++rep) {
+        const std::vector<uint64_t> profiles = SparseWords(n * stride, rng);
+        const std::vector<uint64_t> mask = SparseWords(stride, rng);
+        EXPECT_EQ(avx2->count_disjoint(profiles.data(), stride, n,
+                                       mask.data()),
+                  ScalarKernels().count_disjoint(profiles.data(), stride, n,
+                                                 mask.data()))
+            << "stride=" << stride << " n=" << n;
+      }
+    }
+    const size_t n = 1001 + rng.UniformU64(4);
+    const std::vector<uint64_t> profiles = SparseWords(n * stride, rng);
+    const std::vector<uint64_t> mask = SparseWords(stride, rng);
+    EXPECT_EQ(
+        avx2->count_disjoint(profiles.data(), stride, n, mask.data()),
+        ScalarKernels().count_disjoint(profiles.data(), stride, n, mask.data()))
+        << "stride=" << stride << " n=" << n;
+  }
+}
+
+TEST(Simd, Avx2CountDisjointSeesEverySharedBit) {
+  const BitsetKernels* avx2 = Avx2Kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host";
+  // One row of five carries a single bit shared with the mask, planted at
+  // every position of the row: exactly that row is not disjoint.
+  const size_t n = 5;
+  for (size_t stride = 1; stride <= 4; ++stride) {
+    const std::vector<uint64_t> mask(stride, ~uint64_t{0});
+    for (size_t row = 0; row < n; ++row) {
+      for (size_t bit = 0; bit < stride * 64; ++bit) {
+        std::vector<uint64_t> profiles(n * stride, 0);
+        profiles[row * stride + bit / 64] = uint64_t{1} << (bit % 64);
+        EXPECT_EQ(avx2->count_disjoint(profiles.data(), stride, n,
+                                       mask.data()),
+                  n - 1)
+            << "stride=" << stride << " row=" << row << " bit=" << bit;
+      }
+    }
+  }
+}
+
 TEST(Simd, ForceScalarSwitchRedirectsDispatchWithoutChangingResults) {
   Rng rng(TestSeed(604));
   Bitset a(200), b(200), mask(200);

@@ -1,11 +1,15 @@
 // Tests for Algorithm 1 (AppUnion): trial-count formulas, estimator accuracy
 // under exact and perturbed size estimates, overlap handling, starvation
-// policies, and the fresh-draw Karp-Luby variant.
+// policies, the fresh-draw Karp-Luby variant, and exact agreement of the
+// two-pass trial loop (AppUnion, AppUnionBatched) with a sequential
+// per-trial loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "counting/union_mc.hpp"
@@ -300,6 +304,211 @@ TEST(AppUnion, DeterministicUnderSeed) {
   Rng r1(77), r2(77);
   EXPECT_DOUBLE_EQ(RunAppUnion(inputs, p, r1).estimate,
                    RunAppUnion(inputs, p, r2).estimate);
+}
+
+// ---------------------------------------------------------------------------
+// Two-pass trial loop vs the sequential per-trial loop
+// ---------------------------------------------------------------------------
+
+/// Test-only oracle: Algorithm 1 as a sequential per-trial loop — draw an
+/// input, read the next sample of its list (wrapping under kRecycle), probe
+/// the earlier sets one by one. AppUnion and AppUnionBatched must reproduce
+/// its outcome exactly from the same rng state.
+template <typename Input>
+AppUnionOutcome SequentialAppUnion(const std::vector<const Input*>& inputs,
+                                   const AppUnionParams& params, Rng& rng) {
+  AppUnionOutcome out;
+  const int k = static_cast<int>(inputs.size());
+  if (k == 0) return out;
+  std::vector<double> sizes(k);
+  double sum_sz = 0.0, max_sz = 0.0;
+  for (int i = 0; i < k; ++i) {
+    sizes[i] = inputs[i]->size_estimate();
+    sum_sz += sizes[i];
+    max_sz = std::max(max_sz, sizes[i]);
+  }
+  if (!(sum_sz > 0.0)) return out;
+  const int64_t t = AppUnionTrialCount(params, sum_sz, max_sz);
+  out.trials = t;
+  std::vector<int64_t> cursor(k, 0);
+  for (int64_t trial = 0; trial < t; ++trial) {
+    const int i = rng.DiscreteIndex(sizes);
+    if (i < 0) break;
+    if (cursor[i] >= inputs[i]->num_samples()) {
+      out.starved = true;
+      if (params.starvation == StarvationPolicy::kRecycle &&
+          inputs[i]->num_samples() > 0) {
+        cursor[i] = 0;
+      } else {
+        break;
+      }
+    }
+    const auto& sample = inputs[i]->Sample(cursor[i]++);
+    bool covered_earlier = false;
+    for (int j = 0; j < i && !covered_earlier; ++j) {
+      ++out.membership_checks;
+      covered_earlier = inputs[j]->Contains(sample);
+    }
+    if (!covered_earlier) ++out.hits;
+    ++out.completed_trials;
+  }
+  const double denom =
+      (params.starvation == StarvationPolicy::kScaleByCompleted &&
+       out.completed_trials > 0)
+          ? static_cast<double>(out.completed_trials)
+          : static_cast<double>(t);
+  out.estimate = (static_cast<double>(out.hits) / denom) * sum_sz;
+  return out;
+}
+
+/// IntSetInput extended with the AppUnionBatched concept: each set is owned
+/// by one id of a `universe`-bit owner space, and its samples' membership
+/// profiles (bit q set iff the sample lies in the set owned by q) live in
+/// one fixed-stride slab.
+struct SlabInput {
+  IntSetInput set;
+  int owner_id = 0;
+  size_t universe_bits = 0;
+  std::vector<uint64_t> slab;
+
+  double size_estimate() const { return set.size_estimate(); }
+  int64_t num_samples() const { return set.num_samples(); }
+  const int& Sample(int64_t i) const { return set.Sample(i); }
+  bool Contains(const int& x) const { return set.Contains(x); }
+  int owner() const { return owner_id; }
+  size_t universe() const { return universe_bits; }
+  const uint64_t* profile_slab() const { return slab.data(); }
+  size_t profile_stride() const { return (universe_bits + 63) / 64; }
+};
+
+/// One test case: sets over [0, 60) with sample-list lengths and reported
+/// sizes; owners are spread over a 130-bit universe (three profile words).
+struct SlabCase {
+  std::string name;
+  std::vector<std::set<int>> sets;
+  std::vector<int64_t> num_samples;
+  std::vector<double> reported_sizes;  // empty: the exact sizes
+};
+
+std::vector<SlabInput> MakeSlabInputs(const SlabCase& c, Rng& rng) {
+  const size_t universe = 130;
+  std::vector<SlabInput> inputs(c.sets.size());
+  for (size_t i = 0; i < c.sets.size(); ++i) {
+    SlabInput& in = inputs[i];
+    in.set.elements = c.sets[i];
+    std::vector<int> pool(c.sets[i].begin(), c.sets[i].end());
+    for (int64_t j = 0; j < c.num_samples[i]; ++j) {
+      in.set.samples.push_back(pool[rng.UniformU64(pool.size())]);
+    }
+    in.set.reported_size = c.reported_sizes.empty()
+                               ? static_cast<double>(c.sets[i].size())
+                               : c.reported_sizes[i];
+    in.owner_id = static_cast<int>((i * 47 + 5) % universe);
+    in.universe_bits = universe;
+  }
+  for (SlabInput& in : inputs) {
+    const size_t stride = in.profile_stride();
+    in.slab.assign(in.set.samples.size() * stride, 0);
+    for (size_t j = 0; j < in.set.samples.size(); ++j) {
+      for (const SlabInput& other : inputs) {
+        if (other.Contains(in.set.samples[j])) {
+          const size_t bit = static_cast<size_t>(other.owner_id);
+          in.slab[j * stride + bit / 64] |= uint64_t{1} << (bit % 64);
+        }
+      }
+    }
+  }
+  return inputs;
+}
+
+std::set<int> Range(int lo, int hi) {
+  std::set<int> out;
+  for (int x = lo; x < hi; ++x) out.insert(x);
+  return out;
+}
+
+std::vector<SlabCase> TwoPassCases() {
+  return {
+      {"ample lists", {Range(0, 30), Range(20, 50), Range(10, 60)},
+       {4096, 4096, 4096}, {}},
+      {"lists shorter than t", {Range(0, 30), Range(20, 50), Range(10, 60)},
+       {7, 20, 13}, {}},
+      {"empty list with positive size",
+       {Range(0, 30), Range(20, 50), Range(10, 60)}, {400, 0, 400},
+       {30.0, 45.0, 50.0}},
+      {"single set", {Range(0, 25)}, {9}, {}},
+      {"perturbed sizes, zero-size input",
+       {Range(0, 30), Range(0, 10), Range(25, 40), Range(5, 35)},
+       {50, 50, 3, 64}, {33.0, 0.0, 14.0, 29.0}},
+  };
+}
+
+TEST(AppUnionTwoPass, MatchesSequentialLoopUnderEveryPolicy) {
+  for (const SlabCase& c : TwoPassCases()) {
+    for (StarvationPolicy policy :
+         {StarvationPolicy::kBreak, StarvationPolicy::kScaleByCompleted,
+          StarvationPolicy::kRecycle}) {
+      for (uint64_t seed = 0; seed < 4; ++seed) {
+        Rng build(TestSeed(20) + seed);
+        const std::vector<SlabInput> inputs = MakeSlabInputs(c, build);
+        std::vector<const SlabInput*> ptrs;
+        for (const auto& in : inputs) ptrs.push_back(&in);
+        AppUnionParams p;
+        p.eps = 0.3;
+        p.delta = 0.2;
+        p.starvation = policy;
+        SCOPED_TRACE(c.name + " policy=" +
+                     std::to_string(static_cast<int>(policy)) +
+                     " seed=" + std::to_string(seed));
+
+        Rng r_oracle(TestSeed(30) + seed), r_probe(TestSeed(30) + seed),
+            r_batched(TestSeed(30) + seed);
+        const AppUnionOutcome oracle = SequentialAppUnion(ptrs, p, r_oracle);
+        const AppUnionOutcome probe = AppUnion(ptrs, p, r_probe);
+        AppUnionScratch scratch;
+        const AppUnionOutcome batched =
+            AppUnionBatched(ptrs, p, scratch, r_batched);
+
+        for (const AppUnionOutcome* got : {&probe, &batched}) {
+          EXPECT_EQ(got->estimate, oracle.estimate);
+          EXPECT_EQ(got->hits, oracle.hits);
+          EXPECT_EQ(got->trials, oracle.trials);
+          EXPECT_EQ(got->completed_trials, oracle.completed_trials);
+          EXPECT_EQ(got->starved, oracle.starved);
+        }
+        // The per-probe path counts the same probes the sequential loop
+        // makes; the batched path answers i probes per trial from input i.
+        EXPECT_EQ(probe.membership_checks, oracle.membership_checks);
+        EXPECT_GE(batched.membership_checks, oracle.membership_checks);
+      }
+    }
+  }
+}
+
+TEST(AppUnionTwoPass, ForcedStarvationIsReportedByEveryPolicy) {
+  Rng build(TestSeed(21));
+  const std::vector<SlabCase> cases = TwoPassCases();
+  for (size_t ci = 1; ci < 4; ++ci) {  // the three starving cases
+    const std::vector<SlabInput> inputs = MakeSlabInputs(cases[ci], build);
+    std::vector<const SlabInput*> ptrs;
+    for (const auto& in : inputs) ptrs.push_back(&in);
+    for (StarvationPolicy policy :
+         {StarvationPolicy::kBreak, StarvationPolicy::kScaleByCompleted,
+          StarvationPolicy::kRecycle}) {
+      AppUnionParams p;
+      p.eps = 0.3;
+      p.delta = 0.2;
+      p.starvation = policy;
+      Rng rng(TestSeed(31));
+      AppUnionScratch scratch;
+      const AppUnionOutcome out = AppUnionBatched(ptrs, p, scratch, rng);
+      EXPECT_TRUE(out.starved) << cases[ci].name;
+      // Only an empty list stops a recycling loop early.
+      const bool stops_early = policy != StarvationPolicy::kRecycle || ci == 2;
+      EXPECT_EQ(out.completed_trials < out.trials, stops_early)
+          << cases[ci].name;
+    }
+  }
 }
 
 }  // namespace
