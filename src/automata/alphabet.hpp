@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.hpp"
@@ -46,7 +47,7 @@ std::string SymbolToken(Symbol s);
 /// Parses a token written by SymbolToken: single characters via CharToSymbol,
 /// multi-character all-digit tokens as decimal. Returns -1 on malformed
 /// tokens; callers bound the value against their alphabet size.
-int ParseSymbolToken(const std::string& token);
+int ParseSymbolToken(std::string_view token);
 
 /// Renders a word, e.g. {0,1,1} -> "011". Symbols >= kMaxCharAlphabetSize
 /// render as bracketed decimals, e.g. {0,517} -> "0[517]". The empty word

@@ -29,7 +29,7 @@ std::string SymbolToken(Symbol s) {
   return std::to_string(s);
 }
 
-int ParseSymbolToken(const std::string& token) {
+int ParseSymbolToken(std::string_view token) {
   if (token.size() == 1) return CharToSymbol(token[0]);
   if (token.empty() || token.size() > 5) return -1;  // 65535 has 5 digits
   int value = 0;
@@ -75,21 +75,22 @@ Nfa::Nfa(int alphabet_size) : alphabet_size_(alphabet_size), accepting_(0) {
   assert(alphabet_size >= 1 && alphabet_size <= kMaxAlphabetSize);
 }
 
-StateId Nfa::AddState() {
-  StateId id = num_states();
-  succ_.emplace_back(alphabet_size_);
-  pred_.emplace_back(alphabet_size_);
-  // Grow the accepting bitset preserving old bits.
-  Bitset grown(static_cast<size_t>(id) + 1);
-  accepting_.ForEachSet([&](int i) { grown.Set(i); });
-  accepting_ = std::move(grown);
-  return id;
-}
+StateId Nfa::AddState() { return AddStates(1); }
 
 StateId Nfa::AddStates(int count) {
   assert(count > 0);
   StateId first = num_states();
-  for (int i = 0; i < count; ++i) AddState();
+  const size_t total = static_cast<size_t>(first) + count;
+  succ_.resize(total);
+  pred_.resize(total);
+  for (size_t q = first; q < total; ++q) {
+    succ_[q].resize(alphabet_size_);
+    pred_[q].resize(alphabet_size_);
+  }
+  // Grow the accepting bitset once, preserving old bits.
+  Bitset grown(total);
+  accepting_.ForEachSet([&](int i) { grown.Set(i); });
+  accepting_ = std::move(grown);
   return first;
 }
 

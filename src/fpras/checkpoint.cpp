@@ -12,6 +12,7 @@
 
 #include "automata/io.hpp"
 #include "util/failpoint.hpp"
+#include "util/file.hpp"
 #include "util/wire.hpp"
 
 namespace nfacount {
@@ -149,7 +150,20 @@ std::string SerializeSessionCheckpoint(const EngineSession& session) {
   WriteParams(session.params(), &w);
   w.I32(computed);
   w.I64(engine.draw_cursor());
-  w.String(NfaToText(session.nfa()));
+
+  // Everything after the fixed-size header has a size known up front:
+  // reserve it once so the slabs below append without reallocating.
+  const std::string nfa_text = NfaToText(session.nfa());
+  size_t rest = sizeof(uint64_t) + nfa_text.size() + kChecksumBytes;
+  for (int level = 0; level <= computed; ++level) {
+    for (const StateLevelData& cell : engine.LevelStateAt(level).cells) {
+      rest += sizeof(double) + sizeof(int64_t) +
+              cell.samples.symbols_slab().size() * sizeof(Symbol) +
+              cell.samples.profiles_slab().size() * sizeof(uint64_t);
+    }
+  }
+  w.Reserve(w.buffer().size() + rest);
+  w.String(nfa_text);
 
   for (int level = 0; level <= computed; ++level) {
     const LevelState& state = engine.LevelStateAt(level);
@@ -158,10 +172,11 @@ std::string SerializeSessionCheckpoint(const EngineSession& session) {
       w.F64(cell.count_estimate);
       w.I64(cell.samples.count());
       // One u16 LE per symbol (canonical byte order on any host; v1 files
-      // stored one byte per symbol).
-      for (Symbol s : cell.samples.symbols_slab()) w.U16(s);
+      // stored one byte per symbol), then the profile words, one slab each.
+      const std::vector<Symbol>& symbols = cell.samples.symbols_slab();
+      w.U16s(symbols.data(), symbols.size());
       const std::vector<uint64_t>& profiles = cell.samples.profiles_slab();
-      for (uint64_t word : profiles) w.U64(word);
+      w.U64s(profiles.data(), profiles.size());
     }
   }
 
@@ -261,7 +276,7 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
       std::vector<Symbol> symbols(static_cast<size_t>(count) *
                                   static_cast<size_t>(level));
       if (version >= 2) {
-        for (Symbol& s : symbols) NFA_RETURN_NOT_OK(r.U16(&s));
+        NFA_RETURN_NOT_OK(r.U16s(symbols.data(), symbols.size()));
       } else {
         for (Symbol& s : symbols) {
           uint8_t narrow = 0;
@@ -271,9 +286,7 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
       }
       std::vector<uint64_t> profiles(static_cast<size_t>(count) *
                                      profile_words);
-      for (uint64_t& word : profiles) {
-        NFA_RETURN_NOT_OK(r.U64(&word));
-      }
+      NFA_RETURN_NOT_OK(r.U64s(profiles.data(), profiles.size()));
       NFA_RETURN_NOT_OK(cell.samples.Restore(level, static_cast<size_t>(m),
                                              count, std::move(symbols),
                                              std::move(profiles)));
@@ -347,39 +360,16 @@ Status SaveSessionCheckpoint(const EngineSession& session,
   return Status::Ok();
 }
 
-namespace {
-
-Status ReadCheckpointBytes(const std::string& path, std::string* bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open checkpoint file: " + path);
-  }
-  bytes->clear();
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes->append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::DataLoss("read error while loading checkpoint: " + path);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Result<EngineSession> LoadSessionCheckpoint(const std::string& path,
                                             const SessionKnobs* knobs) {
   std::string bytes;
-  NFA_RETURN_NOT_OK(ReadCheckpointBytes(path, &bytes));
+  NFA_RETURN_NOT_OK(ReadWholeFile(path, &bytes));
   return DeserializeSessionCheckpoint(bytes, knobs);
 }
 
 Status ValidateSessionCheckpoint(const std::string& path) {
   std::string bytes;
-  NFA_RETURN_NOT_OK(ReadCheckpointBytes(path, &bytes));
+  NFA_RETURN_NOT_OK(ReadWholeFile(path, &bytes));
   if (bytes.size() < kPreambleBytes + kChecksumBytes) {
     return Status::DataLoss("checkpoint truncated: shorter than preamble: " +
                             path);

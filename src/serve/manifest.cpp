@@ -8,6 +8,7 @@
 #endif
 
 #include "util/failpoint.hpp"
+#include "util/file.hpp"
 #include "util/wire.hpp"
 
 namespace nfacount {
@@ -104,24 +105,6 @@ Status DecodeBody(const std::string& body,
   return Status::DataLoss("manifest: unknown record type");
 }
 
-Status ReadWholeFile(const std::string& path, std::string* bytes,
-                     bool* exists) {
-  *exists = false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::Ok();  // absent: a fresh journal
-  *exists = true;
-  bytes->clear();
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes->append(buf, got);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::DataLoss("manifest: read error: " + path);
-  }
-  return Status::Ok();
-}
-
 Status WriteFileSynced(const std::string& path, const std::string& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -187,11 +170,12 @@ Result<ManifestJournal> ManifestJournal::Open(const std::string& dir) {
   std::remove((journal.path_ + ".tmp").c_str());
 
   std::string bytes;
-  bool exists = false;
-  NFA_RETURN_NOT_OK(ReadWholeFile(journal.path_, &bytes, &exists));
+  const Status read = ReadWholeFile(journal.path_, &bytes);
+  // An absent journal reads as empty: a fresh registry.
+  if (!read.ok() && read.code() != StatusCode::kNotFound) return read;
 
   bool needs_compaction = false;
-  if (!exists || bytes.empty()) {
+  if (bytes.empty()) {
     NFA_RETURN_NOT_OK(WriteFileSynced(journal.path_, HeaderBytes()));
     journal.good_size_ = static_cast<int64_t>(kManifestHeaderBytes);
   } else {

@@ -263,7 +263,7 @@ Status ReadReplyStatus(ByteReader* r, Status* out) {
 
 void WriteWord(const Word& word, ByteWriter* w) {
   w->U32(static_cast<uint32_t>(word.size()));
-  for (Symbol s : word) w->U16(s);
+  w->U16s(word.data(), word.size());
 }
 
 Status ReadWord(ByteReader* r, Word* out) {
@@ -273,10 +273,7 @@ Status ReadWord(ByteReader* r, Word* out) {
     return Status::DataLoss("reply: word length corrupt");
   }
   out->resize(len);
-  for (uint32_t i = 0; i < len; ++i) {
-    NFA_RETURN_NOT_OK(r->U16(&(*out)[i]));
-  }
-  return Status::Ok();
+  return r->U16s(out->data(), len);
 }
 
 }  // namespace serve

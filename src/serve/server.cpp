@@ -958,12 +958,12 @@ std::string ServeDaemon::Dispatch(const Frame& frame, bool* stop_after_reply) {
         break;
       }
       // Reject up front any count whose reply could not fit one frame: each
-      // word costs 4 + length bytes (u32 size + one byte per symbol) after
-      // the fixed status/cursor/count prefix. Without this gate the daemon
-      // would do the full sampling work only to drop the oversize reply —
-      // or, for absurd counts, die allocating the result vector.
+      // word costs 4 + 2 * length bytes (u32 size + one u16 per symbol)
+      // after the fixed status/cursor/count prefix. Without this gate the
+      // daemon would do the full sampling work only to drop the oversize
+      // reply — or, for absurd counts, die allocating the result vector.
       const int64_t length = req.value().length;
-      const int64_t per_word_bytes = 4 + (length > 0 ? length : 0);
+      const int64_t per_word_bytes = 4 + 2 * (length > 0 ? length : 0);
       const int64_t reply_budget =
           static_cast<int64_t>(kMaxPayloadBytes) - 64;
       if (req.value().count > reply_budget / per_word_bytes) {

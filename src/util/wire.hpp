@@ -2,7 +2,9 @@
 // session checkpoints (fpras/checkpoint.cpp) and the serve-mode wire
 // protocol (serve/protocol.cpp). One codec, one byte order, one failure
 // model — a truncated or corrupt buffer surfaces as Status::DataLoss from
-// the bounds-checked reader before any semantic check runs.
+// the bounds-checked reader before any semantic check runs. Bulk span calls
+// (U16s/U64s) move a whole slab with one bounds check and, on little-endian
+// hosts, one memcpy; the bytes are the same as the per-element calls'.
 
 #ifndef NFACOUNT_UTIL_WIRE_HPP_
 #define NFACOUNT_UTIL_WIRE_HPP_
@@ -15,31 +17,36 @@
 
 namespace nfacount {
 
+/// True when the host stores integers least-significant byte first, so a
+/// slab of them is already in wire order and copies verbatim.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+inline constexpr bool kHostLittleEndian = true;
+#else
+inline constexpr bool kHostLittleEndian = false;
+#endif
+
 /// Appends fixed-width little-endian primitives to a byte string. The
 /// encoding is canonical little-endian regardless of host order, so buffers
 /// are portable across machines (and across the checkpoint/wire formats that
 /// embed them).
 class ByteWriter {
  public:
+  /// Grows the buffer's capacity to at least `total_bytes`, so a writer
+  /// that knows its final size appends without reallocating.
+  void Reserve(size_t total_bytes) { buf_.reserve(total_bytes); }
+
   /// Appends one byte.
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   /// Appends a 16-bit value, least-significant byte first.
-  void U16(uint16_t v) {
-    buf_.push_back(static_cast<char>(v & 0xff));
-    buf_.push_back(static_cast<char>((v >> 8) & 0xff));
-  }
+  void U16(uint16_t v) { Uint(v); }
   /// Appends a 32-bit value, least-significant byte first.
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void U32(uint32_t v) { Uint(v); }
   /// Appends a 64-bit value, least-significant byte first.
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void U64(uint64_t v) { Uint(v); }
+  /// Appends `count` 16-bit values, each least-significant byte first.
+  void U16s(const uint16_t* values, size_t count) { Uints(values, count); }
+  /// Appends `count` 64-bit values, each least-significant byte first.
+  void U64s(const uint64_t* values, size_t count) { Uints(values, count); }
   /// Appends a signed 32-bit value (two's-complement bits of U32).
   void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
   /// Appends a signed 64-bit value (two's-complement bits of U64).
@@ -64,6 +71,23 @@ class ByteWriter {
   std::string& buffer() { return buf_; }
 
  private:
+  template <typename T>
+  void Uint(T v) {
+    char bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+    buf_.append(bytes, sizeof(T));
+  }
+  template <typename T>
+  void Uints(const T* values, size_t count) {
+    if constexpr (kHostLittleEndian) {
+      if (count > 0) Bytes(values, count * sizeof(T));
+    } else {
+      for (size_t i = 0; i < count; ++i) Uint(values[i]);
+    }
+  }
+
   std::string buf_;
 };
 
@@ -82,38 +106,17 @@ class ByteReader {
     return Status::Ok();
   }
   /// Reads a little-endian 16-bit value into *out.
-  Status U16(uint16_t* out) {
-    NFA_RETURN_NOT_OK(Need(2));
-    const uint16_t lo = static_cast<unsigned char>(data_[pos_]);
-    const uint16_t hi = static_cast<unsigned char>(data_[pos_ + 1]);
-    pos_ += 2;
-    *out = static_cast<uint16_t>(lo | (hi << 8));
-    return Status::Ok();
-  }
+  Status U16(uint16_t* out) { return Uint(out); }
   /// Reads a little-endian 32-bit value into *out.
-  Status U32(uint32_t* out) {
-    NFA_RETURN_NOT_OK(Need(4));
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::Ok();
-  }
+  Status U32(uint32_t* out) { return Uint(out); }
   /// Reads a little-endian 64-bit value into *out.
-  Status U64(uint64_t* out) {
-    NFA_RETURN_NOT_OK(Need(8));
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return Status::Ok();
-  }
+  Status U64(uint64_t* out) { return Uint(out); }
+  /// Reads `count` little-endian 16-bit values into out[0..count). A span
+  /// that overruns the buffer is DataLoss before anything is copied.
+  Status U16s(uint16_t* out, size_t count) { return Uints(out, count); }
+  /// Reads `count` little-endian 64-bit values into out[0..count), with the
+  /// same all-or-nothing bounds check as U16s.
+  Status U64s(uint64_t* out, size_t count) { return Uints(out, count); }
   /// Reads a signed 32-bit value (two's-complement bits of U32).
   Status I32(int32_t* out) {
     uint32_t v = 0;
@@ -166,6 +169,40 @@ class ByteReader {
       return Status::DataLoss("wire: field overruns buffer");
     }
     return Status::Ok();
+  }
+
+  template <typename T>
+  Status Uints(T* out, size_t count) {
+    // Divide rather than multiply: count * sizeof(T) may overflow size_t.
+    if (count > remaining() / sizeof(T)) {
+      return Status::DataLoss("wire: field overruns buffer");
+    }
+    if (count == 0) return Status::Ok();
+    if constexpr (kHostLittleEndian) {
+      std::memcpy(out, data_ + pos_, count * sizeof(T));
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        out[i] = Load<T>(data_ + pos_ + i * sizeof(T));
+      }
+    }
+    pos_ += count * sizeof(T);
+    return Status::Ok();
+  }
+  template <typename T>
+  Status Uint(T* out) {
+    NFA_RETURN_NOT_OK(Need(sizeof(T)));
+    *out = Load<T>(data_ + pos_);
+    pos_ += sizeof(T);
+    return Status::Ok();
+  }
+  template <typename T>
+  static T Load(const char* bytes) {
+    T v = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(
+          v | static_cast<T>(static_cast<unsigned char>(bytes[i])) << (8 * i));
+    }
+    return v;
   }
 
   const char* data_;

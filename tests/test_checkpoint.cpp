@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,11 +18,13 @@
 #endif
 
 #include "automata/generators.hpp"
+#include "automata/io.hpp"
 #include "fpras/fpras.hpp"
 #include "test_seed.hpp"
 #include "test_tables.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 #ifndef NFACOUNT_TEST_DATA_DIR
 #define NFACOUNT_TEST_DATA_DIR "tests/data"
@@ -423,6 +426,189 @@ TEST(CheckpointCrashSafety, StaleTempFromKilledWriterIsReplacedBySave) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->computed_level(), 4);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The v2 write path. The fixtures were written by the per-element codec
+// that the bulk slab codec replaced, so they pin the two as byte-identical;
+// golden_wide_session_v2.ckpt (|Σ| = 300) stores symbols >= 256, whose u16
+// high byte is non-zero. Regenerate them only on a deliberate format bump:
+//   example_nfa_cli count tests/data/golden.nfa 4 0.3 0.2 12345
+//       --horizon 6 --save-state tests/data/golden_session_v2.ckpt
+//   example_nfa_cli count tests/data/golden_wide.nfa 4 0.3 0.2 12345
+//       --horizon 6 --save-state tests/data/golden_wide_session_v2.ckpt
+// ---------------------------------------------------------------------------
+
+struct GoldenV2 {
+  const char* nfa_file;
+  const char* ckpt_file;
+};
+constexpr GoldenV2 kGoldenV2[] = {
+    {"golden.nfa", "golden_session_v2.ckpt"},
+    {"golden_wide.nfa", "golden_wide_session_v2.ckpt"},
+};
+
+std::string DataPath(const std::string& name) {
+  return std::string(NFACOUNT_TEST_DATA_DIR) + "/" + name;
+}
+
+/// The session the regeneration command above builds: horizon 6, counted
+/// at length 4, seed 12345, every other knob at its default.
+Result<EngineSession> GoldenV2Session(const std::string& nfa_file) {
+  Result<Nfa> nfa = LoadNfaFile(DataPath(nfa_file));
+  NFA_RETURN_NOT_OK(nfa.status());
+  Result<EngineSession> session =
+      EngineSession::Create(*nfa, 6, SessionTestOptions(12345));
+  NFA_RETURN_NOT_OK(session.status());
+  NFA_RETURN_NOT_OK(session->CountAtLength(4).status());
+  return session;
+}
+
+/// Offset of the first differing byte (the shorter length if one string
+/// is a prefix of the other), for failure messages that stay readable.
+size_t FirstDifference(const std::string& a, const std::string& b) {
+  size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  return i;
+}
+
+TEST(CheckpointV2Golden, WriterReproducesFixturesByteForByte) {
+  // The fixtures were written with symbol classes on (the default). The
+  // process-wide override changes the stored flag and, since the class layer
+  // is not bit-preserving, the sample slabs too.
+  if (std::getenv("NFACOUNT_SYMBOL_CLASSES") != nullptr) {
+    GTEST_SKIP() << "NFACOUNT_SYMBOL_CLASSES overrides the fixtures' "
+                    "symbol-class setting";
+  }
+  for (const GoldenV2& golden : kGoldenV2) {
+    SCOPED_TRACE(golden.ckpt_file);
+    const std::string want = ReadFileBytes(DataPath(golden.ckpt_file));
+    ASSERT_FALSE(want.empty());
+    Result<EngineSession> session = GoldenV2Session(golden.nfa_file);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const std::string fresh = SerializeSessionCheckpoint(*session);
+    EXPECT_TRUE(fresh == want) << "sizes " << fresh.size() << " vs "
+                               << want.size() << ", first difference at "
+                               << FirstDifference(fresh, want);
+    // Reader and writer are inverses: the loaded fixture writes back as
+    // the same bytes.
+    Result<EngineSession> loaded = DeserializeSessionCheckpoint(want);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const std::string rewritten = SerializeSessionCheckpoint(*loaded);
+    EXPECT_TRUE(rewritten == want) << "first difference at "
+                                   << FirstDifference(rewritten, want);
+  }
+}
+
+TEST(CheckpointV2Golden, WideFixtureStoresHighByteSymbols) {
+  Result<EngineSession> loaded =
+      EngineSession::Load(DataPath("golden_wide_session_v2.ckpt"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->nfa().alphabet_size(), 300);
+  int high = 0;
+  for (int level = 1; level <= loaded->computed_level(); ++level) {
+    for (StateId q = 0; q < loaded->nfa().num_states(); ++q) {
+      for (const StoredSample& sample : loaded->engine().SamplesFor(q, level)) {
+        for (Symbol s : sample.word) high += s >= 256 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(high, 0);
+}
+
+TEST(Checkpoint, EmbeddedHeaderBombIsRejectedBeforeAllocation) {
+  // A crafted file can carry a valid checksum, so the embedded automaton
+  // text is untrusted input: swap in a header declaring 6.5e9 transition
+  // rows and re-seal the file.
+  std::string bytes = ReadFileBytes(DataPath("golden_session_v2.ckpt"));
+  const size_t text_at = bytes.find("nfa 4 2\n");
+  ASSERT_NE(text_at, std::string::npos);
+  ByteReader length_field(bytes.data() + text_at - 8, 8);
+  uint64_t text_size = 0;
+  ASSERT_TRUE(length_field.U64(&text_size).ok());
+  const std::string bomb = "nfa 100000 65536\ninitial 0\n";
+  ByteWriter sealed;
+  sealed.Bytes(bytes.data(), text_at - 8);
+  sealed.String(bomb);
+  const size_t rest = text_at + static_cast<size_t>(text_size);
+  sealed.Bytes(bytes.data() + rest, bytes.size() - 8 - rest);
+  uint64_t sum = 14695981039346656037ULL;  // FNV-1a 64, as the trailer
+  for (char c : sealed.buffer()) {
+    sum = (sum ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  sealed.U64(sum);
+
+  Result<EngineSession> r = DeserializeSessionCheckpoint(sealed.buffer());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("transition rows"), std::string::npos)
+      << r.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Bulk span calls of the byte codec (util/wire.hpp) that carry the slabs.
+// ---------------------------------------------------------------------------
+
+TEST(ByteCodec, SpanCallsMatchPerElementCalls) {
+  const std::vector<uint16_t> u16 = {0, 1, 0x00ff, 0x0100, 0x1234, 0xffff};
+  const std::vector<uint64_t> u64 = {0, 1, 0x0102030405060708ULL, ~0ULL,
+                                     1ULL << 63};
+  ByteWriter bulk;
+  bulk.Reserve(64);
+  bulk.U16s(u16.data(), u16.size());
+  bulk.U64s(u64.data(), u64.size());
+  bulk.U16s(nullptr, 0);
+  ByteWriter single;
+  for (uint16_t v : u16) single.U16(v);
+  for (uint64_t v : u64) single.U64(v);
+  ASSERT_EQ(bulk.buffer(), single.buffer());
+  // Least-significant byte first on every host.
+  EXPECT_EQ(bulk.buffer().substr(8, 2), std::string("\x34\x12", 2));
+  EXPECT_EQ(bulk.buffer().substr(12 + 16, 8),
+            "\x08\x07\x06\x05\x04\x03\x02\x01");
+
+  const std::string& bytes = bulk.buffer();
+  ByteReader spans(bytes.data(), bytes.size());
+  std::vector<uint16_t> got16(u16.size());
+  std::vector<uint64_t> got64(u64.size());
+  ASSERT_TRUE(spans.U16s(got16.data(), got16.size()).ok());
+  ASSERT_TRUE(spans.U64s(got64.data(), got64.size()).ok());
+  ASSERT_TRUE(spans.U64s(nullptr, 0).ok());
+  EXPECT_EQ(spans.remaining(), 0u);
+  ByteReader each(bytes.data(), bytes.size());
+  for (uint16_t want : got16) {
+    uint16_t v = 0;
+    ASSERT_TRUE(each.U16(&v).ok());
+    EXPECT_EQ(v, want);
+  }
+  for (uint64_t want : got64) {
+    uint64_t v = 0;
+    ASSERT_TRUE(each.U64(&v).ok());
+    EXPECT_EQ(v, want);
+  }
+  EXPECT_EQ(got16, u16);
+  EXPECT_EQ(got64, u64);
+}
+
+TEST(ByteCodec, TruncatedSpanIsDataLossBeforeAnyCopy) {
+  ByteWriter w;
+  for (uint16_t v = 1; v <= 5; ++v) w.U16(v);
+  const std::string& bytes = w.buffer();
+  // One byte short of five u16 values: nothing is copied, nothing consumed.
+  ByteReader r(bytes.data(), bytes.size() - 1);
+  std::vector<uint16_t> out(5, 0xabab);
+  Status s = r.U16s(out.data(), out.size());
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(out, std::vector<uint16_t>(5, 0xabab));
+  EXPECT_EQ(r.remaining(), bytes.size() - 1);
+  // A count whose byte size overflows size_t is an overrun, not a wrap.
+  std::vector<uint64_t> out64(1, 7);
+  s = r.U64s(out64.data(), SIZE_MAX / 4);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(out64[0], 7u);
+  // The shorter span that fits still reads, from the unmoved cursor.
+  ASSERT_TRUE(r.U16s(out.data(), 4).ok());
+  EXPECT_EQ(out, (std::vector<uint16_t>{1, 2, 3, 4, 0xabab}));
 }
 
 }  // namespace

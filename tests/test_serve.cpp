@@ -385,5 +385,34 @@ TEST(Serve, DaemonAnswersBitIdenticalAcrossConcurrentClients) {
   daemon.Stop();
 }
 
+// The text format is untrusted input over the wire too: a 27-byte header
+// declaring 6.5e9 transition rows must come back as an error reply, not
+// take the daemon down allocating them.
+TEST(Serve, RegisterHeaderBombIsAnErrorAndDaemonStaysUp) {
+  SessionRegistry registry((RegistryOptions()));
+  ServeDaemon daemon(&registry, ServerOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  Result<ServeClient> client = ServeClient::Connect(daemon.port());
+  ASSERT_TRUE(client.ok());
+  serve::RegisterRequest req;
+  req.name = "bomb";
+  req.nfa_text = "nfa 100000 65536\ninitial 0\n";
+  req.horizon = 4;
+  req.seed = TestSeed(971);
+  req.eps = 0.3;
+  req.delta = 0.2;
+  const Status registered = client->Register(req);
+  EXPECT_EQ(registered.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(registered.message().find("transition rows"), std::string::npos)
+      << registered.ToString();
+  EXPECT_TRUE(client->Ping().ok());
+  // The same connection still registers and answers a real automaton.
+  req.name = "sane";
+  req.nfa_text = TestNfaText(TestSeed(972), 4);
+  ASSERT_TRUE(client->Register(req).ok());
+  EXPECT_TRUE(client->CountAtLength("sane", 4).ok());
+  daemon.Stop();
+}
+
 }  // namespace
 }  // namespace nfacount

@@ -258,5 +258,41 @@ TEST_F(ServeProtocolTest, RequestsOnUnknownSessionsAreCleanErrors) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
+TEST_F(ServeProtocolTest, SampleBudgetRejectsSmallestOversizeBeforeDrawing) {
+  // A reply word costs 4 + 2 * length bytes (u32 size + u16 symbols). At
+  // length 30 the smallest count whose reply cannot fit one frame is
+  // within the session's per-call draw cap, so only the dispatch gate
+  // stands between it and 2^20 draws that the frame limit then discards.
+  constexpr int kLength = 30;
+  const int64_t budget = int64_t{serve::kMaxPayloadBytes} - 64;
+  const int64_t smallest_rejected = budget / (4 + 2 * kLength) + 1;
+  ASSERT_LE(smallest_rejected, EngineSession::kMaxDrawsPerCall);
+  // Every binary word: one state, so a length-30 sweep is cheap.
+  const std::string text =
+      "nfa 1 2\ninitial 0\naccepting 0\ntrans 0 0 0\ntrans 0 1 0\n";
+  ASSERT_TRUE(
+      registry_->Register("long", text, kLength, TestSeed(973), 0.9, 0.5)
+          .ok());
+  Result<ServeClient> client = ServeClient::Connect(daemon_->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->CountAtLength("long", kLength).ok());
+  // A zero-word draw reports the cursor without moving it.
+  Result<serve::SampleResult> before = client->SampleWords("long", kLength, 0);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  Result<serve::SampleResult> oversize =
+      client->SampleWords("long", kLength, smallest_rejected);
+  ASSERT_FALSE(oversize.ok());
+  EXPECT_EQ(oversize.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(oversize.status().message().find("request fewer words"),
+            std::string::npos)
+      << oversize.status().ToString();
+
+  Result<serve::SampleResult> after = client->SampleWords("long", kLength, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(before->cursor_start, after->cursor_start);
+  ExpectDaemonAlive();
+}
+
 }  // namespace
 }  // namespace nfacount
