@@ -84,24 +84,22 @@ void UnionSizeMemo::Reset(int64_t capacity) {
   }
   capacity_ = capacity;
   entries_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 bool UnionSizeMemo::Lookup(int level, const Bitset& set,
-                           std::vector<double>* out) {
+                           std::vector<double>* out, ProbeTally* tally) {
   Shard& shard = ShardFor(level, set);
+  bool hit = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(Key{level, set});
     if (it != shard.map.end()) {
       *out = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      hit = true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  tally->Count(hit);
+  return hit;
 }
 
 void UnionSizeMemo::Insert(int level, const Bitset& set,
@@ -136,97 +134,103 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
   symbol_rows_ = symbol_rows;
   entries_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
-bool DescentCache::LookupSizes(int level, const Bitset& set,
-                               std::vector<double>* out) {
-  // thread_local probe: the Bitset copy-assign reuses its vector capacity, so
-  // a lookup allocates nothing once the key is warm (hot-path contract).
-  thread_local Key probe;
-  probe.level = level;
-  probe.set = set;
-  Shard& shard = ShardFor(level, set);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(probe);
-    if (it != shard.map.end()) {
-      *out = it->second.sizes;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+std::unique_ptr<DescentCache::Entry> DescentCache::NewEntry(
+    int level, const Bitset& set) const {
+  assert(set.words().size() == row_words_);
+  auto entry = std::make_unique<Entry>();
+  entry->level = level;
+  entry->hash = KeyHash(level, set);
+  entry->key.assign(set.words().begin(), set.words().end());
+  entry->sizes.assign(static_cast<size_t>(symbol_rows_), 0.0);
+  entry->rows.assign(static_cast<size_t>(symbol_rows_) * row_words_, 0);
+  return entry;
 }
 
-void DescentCache::InsertSizes(int level, const Bitset& set,
-                               const std::vector<double>& sizes) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(level, set);
+const DescentCache::Entry* DescentCache::Publish(
+    std::unique_ptr<Entry>& entry) {
+  if (!enabled()) return nullptr;
+  double total = 0.0;
+  for (double s : entry->sizes) total += s;
+  entry->total = total;
+  Shard& shard = ShardFor(entry->hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.find(Key{level, set}) != shard.map.end()) return;
+  auto it = shard.map.find(entry->hash);
+  if (it != shard.map.end()) {
+    const Entry* existing = it->second.get();
+    return existing->key == entry->key && existing->level == entry->level
+               ? existing
+               : nullptr;
+  }
   // Same no-overshoot discipline as UnionSizeMemo::Insert: reserve one entry
   // of the shared budget via CAS before emplacing.
   int64_t current = entries_.load(std::memory_order_relaxed);
   do {
-    if (current >= capacity_) return;
+    if (current >= capacity_) return nullptr;
   } while (!entries_.compare_exchange_weak(current, current + 1,
                                            std::memory_order_relaxed));
-  Entry entry;
-  entry.sizes = sizes;
   bytes_.fetch_add(
       static_cast<int64_t>(sizeof(Entry) +
-                           set.words().size() * sizeof(uint64_t) +
-                           sizes.size() * sizeof(double)),
+                           (entry->key.size() + entry->rows.size()) *
+                               sizeof(uint64_t) +
+                           entry->sizes.size() * sizeof(double)),
       std::memory_order_relaxed);
-  shard.map.emplace(Key{level, set}, std::move(entry));
+  const Entry* published = entry.get();
+  shard.map.emplace(entry->hash, std::move(entry));
+  return published;
 }
 
-bool DescentCache::LookupRow(int level, const Bitset& set, int symbol_class,
-                             uint64_t* out_row) {
-  thread_local Key probe;
-  probe.level = level;
-  probe.set = set;
-  Shard& shard = ShardFor(level, set);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(probe);
-    if (it != shard.map.end() && !it->second.row_filled.empty() &&
-        it->second.row_filled[static_cast<size_t>(symbol_class)]) {
-      const uint64_t* src = it->second.rows.data() +
-                            static_cast<size_t>(symbol_class) * row_words_;
-      std::copy(src, src + row_words_, out_row);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+const DescentCache::Entry* DescentCache::Reader::FrontFind(
+    uint64_t hash) const {
+  if (slots_.empty()) return nullptr;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+    const Entry* entry = slots_[i];
+    if (entry == nullptr || entry->hash == hash) return entry;
+  }
+}
+
+void DescentCache::Reader::Remember(const Entry* entry) {
+  if (2 * (used_ + 1) > slots_.size()) {
+    // Grow at half load: rehash every held pointer into twice the slots.
+    std::vector<const Entry*> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(64, 2 * old.size()), nullptr);
+    used_ = 0;
+    for (const Entry* held : old) {
+      if (held != nullptr) Remember(held);
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = static_cast<size_t>(entry->hash) & mask;;
+       i = (i + 1) & mask) {
+    if (slots_[i] == nullptr) {
+      slots_[i] = entry;
+      ++used_;
+      return;
+    }
+    if (slots_[i]->hash == entry->hash) return;  // already held
+  }
 }
 
-void DescentCache::InsertRow(int level, const Bitset& set, int symbol_class,
-                             const uint64_t* row) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(level, set);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(Key{level, set});
-  if (it == shard.map.end()) return;  // entry never admitted (budget spent)
-  Entry& entry = it->second;
-  if (entry.rows.empty()) {
-    entry.rows.assign(static_cast<size_t>(symbol_rows_) * row_words_, 0);
-    entry.row_filled.assign(static_cast<size_t>(symbol_rows_), 0);
-    bytes_.fetch_add(
-        static_cast<int64_t>(entry.rows.size() * sizeof(uint64_t) +
-                             entry.row_filled.size()),
-        std::memory_order_relaxed);
+const DescentCache::Entry* DescentCache::Reader::Find(
+    const DescentCache& cache, int level, const Bitset& set) {
+  const uint64_t hash = KeyHash(level, set);
+  const Entry* entry = FrontFind(hash);
+  if (entry == nullptr) {
+    // Front miss: probe the owning shard. Entries are immutable once
+    // published, so the pointer stays valid after the lock is released.
+    const Shard& shard = cache.ShardFor(hash);
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      auto it = shard.map.find(hash);
+      if (it != shard.map.end()) entry = it->second.get();
+    }
+    if (entry != nullptr) Remember(entry);
   }
-  if (entry.row_filled[static_cast<size_t>(symbol_class)]) return;
-  std::copy(row, row + row_words_,
-            entry.rows.data() +
-                static_cast<size_t>(symbol_class) * row_words_);
-  entry.row_filled[static_cast<size_t>(symbol_class)] = 1;
+  if (entry != nullptr && !entry->Matches(level, set)) entry = nullptr;
+  tally_.Count(entry != nullptr);
+  return entry;
 }
 
 // ---------------------------------------------------------------------------
@@ -257,14 +261,14 @@ const FprasDiagnostics& FprasEngine::diagnostics() const {
   AccumulateDiag(draw_.diag, &diag_);
   diag_.arena_bytes_reserved += draw_.arena.bytes_reserved();
   diag_.arena_alloc_events += draw_.arena.alloc_events();
-  // The memo's and descent cache's counters are authoritative (shared across
-  // workers); they are the only scheduling-dependent diagnostics.
-  diag_.memo_hits = memo_.hits();
-  diag_.memo_misses = memo_.misses();
-  diag_.descent_hits = descent_.hits();
-  diag_.descent_misses = descent_.misses();
-  diag_.descent_entries = descent_.entries();
-  diag_.descent_bytes = descent_.bytes();
+  // The cache counters are the only scheduling-dependent diagnostics.
+  const CacheCounters cache = cache_counters();
+  diag_.memo_hits = cache.memo_hits;
+  diag_.memo_misses = cache.memo_misses;
+  diag_.descent_hits = cache.descent_hits;
+  diag_.descent_misses = cache.descent_misses;
+  diag_.descent_entries = cache.descent_entries;
+  diag_.descent_bytes = cache.descent_bytes;
   diag_.wall_seconds = run_wall_seconds_;
   return diag_;
 }
@@ -314,25 +318,20 @@ std::vector<StoredSample> FprasEngine::SamplesFor(StateId q, int level) const {
 
 void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                                  double delta_param, UnionPurpose purpose,
-                                 WorkerScratch& ws, std::vector<double>* out) {
+                                 WorkerScratch& ws, std::vector<double>* out,
+                                 uint64_t* rows) {
   assert(level >= 1 && level <= params_.n);
   const bool use_memo =
       purpose == UnionPurpose::kSample && params_.memoize_unions;
   std::vector<double>& sizes = *out;
-  if (use_memo && memo_.Lookup(level, state_set, &sizes)) return;
-
-  const uint64_t family =
-      purpose == UnionPurpose::kCount ? kCountUnionTag : kSampleUnionTag;
   const SymbolClassIndex& classes = unrolled_.symbol_classes();
   const int num_classes = classes.num_classes();
-  sizes.assign(static_cast<size_t>(num_classes), 0.0);
-  AppUnionParams au = MakeUnionParams(params_, delta_param, level);
-
-  for (int c = 0; c < num_classes; ++c) {
-    // One predecessor expansion per class: every member of a class has
-    // identical reverse rows, so Pred(P, b) is the same set for all of them.
-    // The flat layout (or the legacy pointer walk when ablated) expands the
-    // representative; `ws.pred_scratch` avoids a per-(class, call) allocation.
+  const size_t row_words = ws.pred_scratch.words().size();
+  // One predecessor expansion per class: every member of a class has
+  // identical reverse rows, so Pred(P, b) is the same set for all of them.
+  // The flat layout (or the legacy pointer walk when ablated) expands the
+  // representative; `ws.pred_scratch` avoids a per-(class, call) allocation.
+  auto expand = [&](int c) -> const Bitset& {
     const Symbol rep = classes.Representative(c);
     Bitset& preds = ws.pred_scratch;
     if (params_.csr_hot_path) {
@@ -340,6 +339,26 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     } else {
       preds = unrolled_.PredSetLegacy(state_set, rep, level);
     }
+    if (rows != nullptr) {
+      std::copy(preds.words().begin(), preds.words().end(),
+                rows + static_cast<size_t>(c) * row_words);
+    }
+    return preds;
+  };
+  if (use_memo && memo_.Lookup(level, state_set, &sizes, &ws.memo_tally)) {
+    if (rows != nullptr) {
+      for (int c = 0; c < num_classes; ++c) expand(c);
+    }
+    return;
+  }
+
+  const uint64_t family =
+      purpose == UnionPurpose::kCount ? kCountUnionTag : kSampleUnionTag;
+  sizes.assign(static_cast<size_t>(num_classes), 0.0);
+  AppUnionParams au = MakeUnionParams(params_, delta_param, level);
+
+  for (int c = 0; c < num_classes; ++c) {
+    const Bitset& preds = expand(c);
     if (preds.None()) continue;
     std::vector<PredecessorInput>& inputs = ws.union_inputs;
     inputs.clear();
@@ -410,9 +429,10 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
   const double eta_call = params_.EtaForSampleCall();
   const double delta_union = eta_call / (4.0 * std::max(params_.n, 1));
   // Cross-batch descent cache: both per-group computations below — the
-  // union-size vector and the predecessor expansion — are pure functions of
-  // (level, frontier content[, symbol]), so a hit replaces the recomputation
-  // with a copy of bit-identical data (see DescentCache's purity argument).
+  // union-size vector and the predecessor expansions — are pure functions of
+  // (level, frontier content[, class]), so one probe per group step replaces
+  // them with reads of bit-identical data (see DescentCache's purity
+  // argument).
   const bool use_descent = descent_.enabled();
 
   for (int i = level; i >= 1; --i) {
@@ -426,22 +446,33 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     for (int w = 0; w < count; ++w) {
       if (ar.state_of[w] != SampleArena::kAlive) continue;
       const int g = ar.group_of[w];
-      std::vector<double>& sizes = ar.group_sizes[static_cast<size_t>(g)];
       if (!ar.group_ready[g]) {
         // One union-size estimation per group — every member shares it, and
-        // the descent cache shares it across batches, cells, and draws.
+        // the descent cache shares it (with every class row) across
+        // batches, cells, and draws.
         ar.frontier_scratch.AssignWords(ar.cur.Row(g), row_words);
-        if (!use_descent ||
-            !descent_.LookupSizes(i, ar.frontier_scratch, &sizes)) {
+        std::vector<double>& own = ar.group_sizes[static_cast<size_t>(g)];
+        const DescentCache::Entry* entry = nullptr;
+        if (use_descent) {
+          entry = DescentEntry(i, ar.frontier_scratch, delta_union, ws, &own);
+        } else {
           UnionSizesInto(i, ar.frontier_scratch, delta_union,
-                         UnionPurpose::kSample, ws, &sizes);
-          if (use_descent) descent_.InsertSizes(i, ar.frontier_scratch, sizes);
+                         UnionPurpose::kSample, ws, &own);
         }
-        double total = 0.0;
-        for (double s : sizes) total += s;
-        ar.group_total[g] = total;
+        if (entry != nullptr) {
+          ar.group_weights[g] = &entry->sizes;
+          ar.group_rows[g] = entry->rows.data();
+          ar.group_total[g] = entry->total;
+        } else {
+          double total = 0.0;
+          for (double s : own) total += s;
+          ar.group_weights[g] = &own;
+          ar.group_rows[g] = nullptr;
+          ar.group_total[g] = total;
+        }
         ar.group_ready[g] = 1;
       }
+      const std::vector<double>& sizes = *ar.group_weights[g];
       const double total = ar.group_total[g];
       if (!(total > 0.0)) {
         // Every symbol slice estimated empty: reachable only through a
@@ -474,29 +505,20 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
         // different symbols of one class still share the child group.
         child = next_group_count++;
         uint64_t* out_row = ar.next.Row(child);
-        // Descent-cache row probe before expanding. ar.cur rows are stable
-        // for the whole level pass, but ar.frontier_scratch is overwritten by
-        // later groups' size estimations, so the probe key is re-materialized
-        // into its own scratch.
+        const uint64_t* cached_rows = ar.group_rows[g];
         const Symbol rep = classes.Representative(c);
-        bool row_cached = false;
-        if (use_descent) {
-          ar.descent_scratch.AssignWords(ar.cur.Row(g), row_words);
-          row_cached = descent_.LookupRow(i, ar.descent_scratch, c, out_row);
-        }
-        if (!row_cached) {
-          if (params_.csr_hot_path) {
-            unrolled_.PredSetWordsInto(ar.cur.Row(g), rep, i, out_row,
-                                       *kernels_);
-          } else {
-            ar.expand_scratch.AssignWords(ar.cur.Row(g), row_words);
-            Bitset preds = unrolled_.PredSetLegacy(ar.expand_scratch, rep, i);
-            std::copy(preds.words().data(), preds.words().data() + row_words,
-                      out_row);
-          }
-          if (use_descent) {
-            descent_.InsertRow(i, ar.descent_scratch, c, out_row);
-          }
+        if (cached_rows != nullptr) {
+          const uint64_t* src =
+              cached_rows + static_cast<size_t>(c) * row_words;
+          std::copy(src, src + row_words, out_row);
+        } else if (params_.csr_hot_path) {
+          unrolled_.PredSetWordsInto(ar.cur.Row(g), rep, i, out_row,
+                                     *kernels_);
+        } else {
+          ar.expand_scratch.AssignWords(ar.cur.Row(g), row_words);
+          Bitset preds = unrolled_.PredSetLegacy(ar.expand_scratch, rep, i);
+          std::copy(preds.words().data(), preds.words().data() + row_words,
+                    out_row);
         }
         // Invariant carried over from the sequential walk's assert(cur.Any()):
         // sizes[c] > 0 implies the class's predecessor slice is non-empty.
@@ -542,6 +564,28 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     ar.state_of[w] = SampleArena::kAccepted;
     ar.accepted.push_back(w);
   }
+}
+
+const DescentCache::Entry* FprasEngine::DescentEntry(
+    int level, const Bitset& frontier, double delta_union, WorkerScratch& ws,
+    std::vector<double>* unpublished_sizes) {
+  if (const DescentCache::Entry* hit =
+          ws.descent.Find(descent_, level, frontier)) {
+    return hit;
+  }
+  // Miss: build the whole entry — the class rows are the expansions the
+  // union-size estimation performs anyway — and publish it once.
+  std::unique_ptr<DescentCache::Entry> entry =
+      descent_.NewEntry(level, frontier);
+  UnionSizesInto(level, frontier, delta_union, UnionPurpose::kSample, ws,
+                 &entry->sizes, entry->rows.data());
+  const DescentCache::Entry* published = descent_.Publish(entry);
+  if (published != nullptr) {
+    ws.descent.Remember(published);
+  } else {
+    unpublished_sizes->swap(entry->sizes);
+  }
+  return published;
 }
 
 void FprasEngine::ConsumeWalkDiagnostics(int consumed, WorkerScratch& ws) {
@@ -921,11 +965,18 @@ double FprasEngine::EstimateAtLength(int level) {
 }
 
 FprasEngine::CacheCounters FprasEngine::cache_counters() const {
+  // Only the tallies' atomics are read here; the extending thread and the
+  // draw thread keep writing the rest of their scratch bundles meanwhile.
   CacheCounters c;
-  c.memo_hits = memo_.hits();
-  c.memo_misses = memo_.misses();
-  c.descent_hits = descent_.hits();
-  c.descent_misses = descent_.misses();
+  auto add = [&c](const WorkerScratch& ws) {
+    c.memo_hits += ws.memo_tally.hits.load(std::memory_order_relaxed);
+    c.memo_misses += ws.memo_tally.misses.load(std::memory_order_relaxed);
+    c.descent_hits += ws.descent.tally().hits.load(std::memory_order_relaxed);
+    c.descent_misses +=
+        ws.descent.tally().misses.load(std::memory_order_relaxed);
+  };
+  for (const WorkerScratch& ws : workers_) add(ws);
+  add(draw_);
   c.descent_entries = descent_.entries();
   c.descent_bytes = descent_.bytes();
   return c;

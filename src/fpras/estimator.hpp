@@ -58,11 +58,12 @@
 // (RunToLevel) may run concurrently with draw/read threads as long as the
 // readers only touch levels the extender has already finished: frozen
 // LevelStates are immutable, the union memo and descent cache are internally
-// locked, and every estimate is content-keyed, so the interleaving is
-// invisible in all results. Callers provide the level-visibility fence (the
-// EngineSession read plane publishes levels with release/acquire ordering)
-// and must serialize draws among themselves (post_attempt_counter_ is a
-// plain cursor); diagnostics() still requires quiescence.
+// synchronized (published descent entries are immutable), and every estimate
+// is content-keyed, so the interleaving is invisible in all results. Callers
+// provide the level-visibility fence (the EngineSession read plane publishes
+// levels with release/acquire ordering) and must serialize draws among
+// themselves (post_attempt_counter_ is a plain cursor); diagnostics() still
+// requires quiescence, cache_counters() does not.
 
 #ifndef NFACOUNT_FPRAS_ESTIMATOR_HPP_
 #define NFACOUNT_FPRAS_ESTIMATOR_HPP_
@@ -97,17 +98,23 @@ struct FprasDiagnostics {
   /// number is an upper bound of the legacy one on the same run.
   int64_t membership_checks = 0;
   int64_t starvations = 0;      ///< AppUnion Line-8 events
+  /// UnionSizeMemo probes: one per sample-context union-size computation,
+  /// i.e. per descent step the descent cache did not answer (every step
+  /// when it is off).
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
-  /// DescentCache probes answered from the cache (sizes and predecessor
-  /// rows combined) vs computed fresh. Scheduling-dependent like the memo
-  /// counters; additionally, a descent hit bypasses the union memo entirely,
-  /// so memo traffic shrinks when the descent cache is enabled (results
-  /// never move — both are pure caches of content-keyed computations).
+  /// DescentCache probes: exactly one per (walk group, level) step of a
+  /// lockstep batch, answered from the cache (hit: sizes and every class
+  /// row) or built fresh (miss). Scheduling-dependent like the memo
+  /// counters; a descent hit bypasses the union memo entirely, so memo
+  /// traffic shrinks when the descent cache is enabled (results never move
+  /// — both are pure caches of content-keyed computations).
   int64_t descent_hits = 0;
   int64_t descent_misses = 0;
   int64_t descent_entries = 0;  ///< admitted (level, frontier) cache entries
-  int64_t descent_bytes = 0;    ///< approximate descent-cache footprint
+  /// Approximate descent-cache footprint: entry structs, keys, sizes, and
+  /// the class rows every entry carries.
+  int64_t descent_bytes = 0;
   /// Candidate walks launched (Algorithm 2 attempts), counted exactly per
   /// consumed attempt: a lockstep batch may execute speculative walks past
   /// the attempt that fills S(q^ℓ) (or past the accept that satisfies a
@@ -187,28 +194,55 @@ struct LevelState {
   bool computed() const { return level >= 0; }
 };
 
+/// Hit/miss tally of one shared cache as seen by one thread. Only the owning
+/// thread writes it — a relaxed load + store, no read-modify-write — and any
+/// thread may read it at any time (the serve-mode stats surface sums the
+/// tallies of every scratch bundle). The type fills a cache line of its own,
+/// so a probe never writes a line another worker touches. Copying takes a
+/// relaxed snapshot (scratch bundles are only copied while quiescent).
+struct alignas(64) ProbeTally {
+  std::atomic<int64_t> hits{0};
+  std::atomic<int64_t> misses{0};
+
+  ProbeTally() = default;
+  ProbeTally(const ProbeTally& other) { *this = other; }
+  ProbeTally& operator=(const ProbeTally& other) {
+    hits.store(other.hits.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
+    misses.store(other.misses.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    return *this;
+  }
+
+  /// Counts one probe. Owner thread only.
+  void Count(bool hit) {
+    std::atomic<int64_t>& counter = hit ? hits : misses;
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
+};
+
 /// Sharded, thread-safe cache of sample-context union-size vectors keyed by
 /// (level, P-set). Because UnionSizes draws from a content-keyed RNG
 /// substream, a cached vector is exactly what recomputation would produce —
 /// the memo is a pure cache shared freely across worker threads without
-/// affecting any estimate. Only the atomic hit/miss counters are
+/// affecting any estimate. Only the per-caller hit/miss tallies are
 /// scheduling-dependent (two threads can both miss on a key a sequential run
 /// would hit once).
 class UnionSizeMemo {
  public:
-  /// Clears all shards and counters; caps the total entry count.
+  /// Clears all shards; caps the total entry count.
   void Reset(int64_t capacity);
 
   /// If (level, set) is cached, copies the sizes into *out and returns true.
-  /// Counts one hit or miss.
-  bool Lookup(int level, const Bitset& set, std::vector<double>* out);
+  /// Counts one hit or miss on the caller's `tally`.
+  bool Lookup(int level, const Bitset& set, std::vector<double>* out,
+              ProbeTally* tally);
 
   /// Caches (level, set) → sizes unless capacity is reached (first writer
   /// wins; concurrent inserts of the same key carry identical values).
   void Insert(int level, const Bitset& set, const std::vector<double>& sizes);
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
 
  private:
@@ -241,16 +275,14 @@ class UnionSizeMemo {
   std::array<Shard, kNumShards> shards_;
   int64_t capacity_ = 0;
   std::atomic<int64_t> entries_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
 };
 
 /// Sharded, capacity-bounded cache of the per-(level, frontier-set) descent
 /// work the lockstep sampling plane repeats across refill batches, cells, and
 /// post-run draws: the per-symbol-class union-size vector (what Alg. 2 lines
 /// 8-11 recompute for every group that reaches the same frontier) and the
-/// expanded predecessor rows Pred(P, c) (the PredSetInto result per chosen
-/// symbol class — one row covers every member of the class).
+/// expanded predecessor row Pred(P, c) of every symbol class (one row covers
+/// every member of the class).
 ///
 /// Purity argument (why this never changes a result): UnionSizes draws from a
 /// substream keyed by (purpose, level, P-set content) — never from caller
@@ -258,83 +290,118 @@ class UnionSizeMemo {
 /// predecessor expansion is a pure function of (level, frontier, class) over
 /// the fixed unrolled automaton. Estimates, tables, and draw streams are
 /// therefore bit-identical with the cache on, off, or at any capacity; only
-/// the atomic hit/miss counters are scheduling-dependent.
+/// the per-reader hit/miss tallies are scheduling-dependent.
 ///
-/// Capacity discipline: entries are admitted by InsertSizes under the shard
-/// lock against a shared budget (a CAS reservation on entries_, the fix the
-/// union memo also received — no overshoot under concurrency). Predecessor
-/// rows piggyback on already-admitted entries only (InsertRow never creates
-/// an entry), so one budget bounds both. A capacity of 0 disables the cache.
+/// Entries are immutable: built whole on a miss (sizes plus every class row),
+/// published once under the shard lock against a shared budget (a CAS
+/// reservation on entries_ — no overshoot under concurrency), and never
+/// mutated or freed until Reset(). A published `const Entry*` therefore stays
+/// valid without a lock, which is what lets each thread keep a private
+/// Reader front table: a hit takes no lock and writes no shared cache line.
+/// A capacity of 0 disables the cache.
 class DescentCache {
  public:
-  /// Clears all shards and counters and fixes the geometry: row_words words
-  /// per predecessor row, symbol_rows rows per entry (one per symbol class —
-  /// |Σ| under the trivial partition). Capacity caps the number of
-  /// (level, frontier) entries; 0 disables the cache entirely.
+  /// One (level, frontier) entry: the frontier words it is keyed by, the
+  /// weighted per-class union sizes and their index-order sum, and every
+  /// class's predecessor row (class-major, row_words words each).
+  struct Entry {
+    int level = 0;
+    uint64_t hash = 0;           ///< KeyHash(level, frontier)
+    std::vector<uint64_t> key;   ///< frontier words
+    std::vector<double> sizes;   ///< weight_c · sz_c per class
+    double total = 0.0;          ///< Σ sizes, summed in index order
+    std::vector<uint64_t> rows;  ///< Pred(frontier, rep_c) per class c
+
+    const uint64_t* Row(int symbol_class) const {
+      return rows.data() + static_cast<size_t>(symbol_class) * key.size();
+    }
+    bool Matches(int lvl, const Bitset& set) const {
+      return level == lvl && key == set.words();
+    }
+  };
+
+  /// A thread's private view of the cache: a read-only front table of
+  /// entries it has already found, keyed by hash, plus its own hit/miss
+  /// tally. One Reader per thread (it is not synchronized); reset it
+  /// whenever its cache is Reset (the pointers it holds die with the
+  /// entries).
+  class Reader {
+   public:
+    /// The published entry for (level, set), or nullptr. Checks the front
+    /// table first and the owning shard only on a front miss; counts one hit
+    /// or miss on tally().
+    const Entry* Find(const DescentCache& cache, int level, const Bitset& set);
+
+    /// Remembers an entry this thread published (or lost a publish race to)
+    /// so the next Find for its key stays in the front table.
+    void Remember(const Entry* entry);
+
+    const ProbeTally& tally() const { return tally_; }
+
+   private:
+    const Entry* FrontFind(uint64_t hash) const;
+
+    /// Open-addressed (linear probing) table of entry pointers, indexed by
+    /// the entry hash; grows by doubling at half load, so it only ever
+    /// holds what this thread has touched.
+    std::vector<const Entry*> slots_;
+    size_t used_ = 0;
+    ProbeTally tally_;
+  };
+
+  /// Clears all shards and fixes the geometry: row_words words per frontier
+  /// and predecessor row, symbol_rows rows per entry (one per symbol class —
+  /// |Σ| under the trivial partition). Capacity caps the number of entries;
+  /// 0 disables the cache entirely.
   void Reset(int64_t capacity, size_t row_words, int symbol_rows);
 
   bool enabled() const { return capacity_ > 0; }
 
-  /// If (level, set) is cached, copies its per-class sizes into *out and
-  /// returns true. Counts one hit or miss.
-  bool LookupSizes(int level, const Bitset& set, std::vector<double>* out);
+  /// The key hash an entry for (level, set) carries.
+  static uint64_t KeyHash(int level, const Bitset& set) {
+    return HashCombine(static_cast<uint64_t>(level), set.Hash());
+  }
 
-  /// Admits (level, set) → sizes unless the budget is exhausted (first
-  /// writer wins; concurrent inserts of the same key carry identical
-  /// values because UnionSizes is content-keyed).
-  void InsertSizes(int level, const Bitset& set,
-                   const std::vector<double>& sizes);
+  /// A blank entry for (level, set) in this cache's geometry: key and hash
+  /// filled, sizes and rows zeroed for the builder to fill.
+  std::unique_ptr<Entry> NewEntry(int level, const Bitset& set) const;
 
-  /// If the expanded row of symbol class `symbol_class` at `level` is
-  /// cached, copies its row_words words into out_row and returns true.
-  /// Counts one hit or miss.
-  bool LookupRow(int level, const Bitset& set, int symbol_class,
-                 uint64_t* out_row);
+  /// Publishes a fully built entry (computing its total) and returns the
+  /// entry now cached for its key: `entry` itself — whose ownership then
+  /// moves into the cache — or one a concurrent publisher admitted first
+  /// (same bits, by purity). Returns nullptr, leaving `entry` with the
+  /// caller, when the budget is spent or a different key holds the same
+  /// 64-bit hash.
+  const Entry* Publish(std::unique_ptr<Entry>& entry);
 
-  /// Stores the expanded row for an already-admitted (level, set) entry;
-  /// no-op when the entry was never admitted (budget exhausted). Concurrent
-  /// fills write identical bits (pure function of the key).
-  void InsertRow(int level, const Bitset& set, int symbol_class,
-                 const uint64_t* row);
+  /// Visits every published entry (tests and inspection; takes each shard
+  /// lock in turn).
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (const auto& kv : shard.map) fn(*kv.second);
+    }
+  }
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
  private:
-  struct Key {
-    int level;
-    Bitset set;
-    bool operator==(const Key& other) const {
-      return level == other.level && set == other.set;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      return static_cast<size_t>(
-          HashCombine(static_cast<uint64_t>(key.level), key.set.Hash()));
-    }
-  };
-  /// One admitted (level, frontier) entry. `rows` is allocated lazily on the
-  /// first InsertRow (symbol_rows × row_words flat words); row_filled[c]
-  /// marks which symbol classes have been expanded.
-  struct Entry {
-    std::vector<double> sizes;
-    std::vector<uint64_t> rows;
-    std::vector<uint8_t> row_filled;
-  };
   struct Shard {
-    std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> map;
+    mutable std::mutex mu;
+    /// Keyed by the 64-bit entry hash; the entry's stored key is compared
+    /// on every probe, so a hash collision costs a miss, never a wrong hit.
+    std::unordered_map<uint64_t, std::unique_ptr<Entry>> map;
   };
 
   static constexpr int kNumShards = 16;
 
-  Shard& ShardFor(int level, const Bitset& set) {
-    return shards_[static_cast<size_t>(
-        HashCombine(static_cast<uint64_t>(level), set.Hash()) %
-        kNumShards)];
+  const Shard& ShardFor(uint64_t hash) const {
+    return shards_[static_cast<size_t>(hash % kNumShards)];
+  }
+  Shard& ShardFor(uint64_t hash) {
+    return shards_[static_cast<size_t>(hash % kNumShards)];
   }
 
   std::array<Shard, kNumShards> shards_;
@@ -343,8 +410,6 @@ class DescentCache {
   int symbol_rows_ = 0;
   std::atomic<int64_t> entries_{0};
   std::atomic<int64_t> bytes_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
 };
 
 /// The FPRAS over a fixed (NFA, horizon n), organized as a resumable
@@ -476,20 +541,25 @@ class FprasEngine {
 
   const FprasParams& params() const { return params_; }
 
-  /// Merged snapshot of the per-worker counters plus the memo's atomic
-  /// hit/miss counts; includes post-Run() sampling activity.
+  /// Merged snapshot of the per-worker counters and cache tallies;
+  /// includes post-Run() sampling activity.
   const FprasDiagnostics& diagnostics() const;
 
   const UnrolledNfa& unrolled() const { return unrolled_; }
 
-  /// Snapshot of the shared caches' atomic counters (union memo + descent
-  /// cache). Unlike diagnostics(), this reads only atomics and is safe to
+  /// The shared descent cache (entry inspection in tests).
+  const DescentCache& descent_cache() const { return descent_; }
+
+  /// Snapshot of the cache counters (union memo + descent cache): the
+  /// per-scratch hit/miss tallies summed, plus the caches' entry and byte
+  /// totals. Unlike diagnostics(), this reads only atomics and is safe to
   /// call from any thread at any time — it is the serve-mode stats surface.
+  /// Each field only grows between Prepare() calls.
   struct CacheCounters {
     int64_t memo_hits = 0;       ///< UnionSizeMemo hits
     int64_t memo_misses = 0;     ///< UnionSizeMemo misses
-    int64_t descent_hits = 0;    ///< DescentCache hits (sizes + rows)
-    int64_t descent_misses = 0;  ///< DescentCache misses
+    int64_t descent_hits = 0;    ///< DescentCache hits, one per walk step
+    int64_t descent_misses = 0;  ///< DescentCache misses, one per walk step
     int64_t descent_entries = 0; ///< admitted DescentCache entries
     int64_t descent_bytes = 0;   ///< approximate DescentCache footprint
   };
@@ -518,6 +588,9 @@ class FprasEngine {
     std::vector<const PredecessorInput*> union_ptrs;
     SampleArena arena;            ///< lockstep walk batch slab (plane.hpp)
     FprasDiagnostics diag;        ///< merged into diagnostics() on demand
+    /// This bundle's descent-cache front table and hit/miss tally.
+    DescentCache::Reader descent;
+    ProbeTally memo_tally;        ///< this bundle's union-memo probes
   };
 
   /// Which substream family a union-size estimation draws from. The count
@@ -537,10 +610,20 @@ class FprasEngine {
   /// deterministic function of the engine seed and the arguments —
   /// independent of caller, thread, and memo state — and classes that share
   /// a predecessor set share the draws (duplicate content costs no fresh
-  /// randomness).
+  /// randomness). When `rows` is non-null it also receives every class's
+  /// predecessor row Pred(state_set, rep_c) (class-major, ⌈m/64⌉ words
+  /// each) — the expansions the estimation performs anyway.
   void UnionSizesInto(int level, const Bitset& state_set, double delta_param,
                       UnionPurpose purpose, WorkerScratch& ws,
-                      std::vector<double>* out);
+                      std::vector<double>* out, uint64_t* rows = nullptr);
+
+  /// One descent-cache probe for a walk group at (level, frontier): the
+  /// published entry, built and published here on a miss. nullptr when the
+  /// built entry could not be admitted (budget spent); its sizes then land
+  /// in *unpublished_sizes and the caller expands the drawn classes itself.
+  const DescentCache::Entry* DescentEntry(
+      int level, const Bitset& frontier, double delta_union,
+      WorkerScratch& ws, std::vector<double>* unpublished_sizes);
 
   /// Algorithm 2 over a lockstep batch: advances `count` candidate walks
   /// (attempt ids first_attempt..first_attempt+count) down the levels on the
@@ -628,9 +711,10 @@ class FprasEngine {
   /// AdvanceLevel stores with release ordering after freezing the level.
   std::atomic<int> computed_level_{-1};
   UnionSizeMemo memo_;  ///< sample-context union sizes, shared across workers
-  /// Cross-batch descent cache (sizes + predecessor rows per (level,
-  /// frontier)), shared across workers like the memo. Reset by Prepare()
-  /// from params_.descent_cache_capacity.
+  /// Cross-batch descent cache (sizes + every class's predecessor row per
+  /// (level, frontier)), shared across workers like the memo; each scratch
+  /// bundle reads it through its own DescentCache::Reader. Reset by
+  /// Prepare() from params_.descent_cache_capacity.
   DescentCache descent_;
   double final_estimate_ = 0.0;
   double run_wall_seconds_ = 0.0;

@@ -33,6 +33,8 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   Ensure(next_group_of, static_cast<size_t>(b));
   Ensure(state_of, static_cast<size_t>(b));
   Ensure(outcome_of, static_cast<size_t>(b));
+  Ensure(group_weights, static_cast<size_t>(b));
+  Ensure(group_rows, static_cast<size_t>(b));
   Ensure(group_total, static_cast<size_t>(b));
   Ensure(group_ready, static_cast<size_t>(b));
   Ensure(child_of, static_cast<size_t>(b) * num_classes);
@@ -40,7 +42,6 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   accepted.reserve(static_cast<size_t>(b));
   if (frontier_scratch.size() != bits) {
     frontier_scratch = Bitset(bits);
-    descent_scratch = Bitset(bits);
     expand_scratch = Bitset(bits);
     profile_cur = Bitset(bits);
     profile_next = Bitset(bits);
@@ -61,6 +62,8 @@ void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
   Ensure(next_group_of, static_cast<size_t>(batch));
   Ensure(state_of, static_cast<size_t>(batch));
   Ensure(outcome_of, static_cast<size_t>(batch));
+  Ensure(group_weights, static_cast<size_t>(batch));
+  Ensure(group_rows, static_cast<size_t>(batch));
   Ensure(group_total, static_cast<size_t>(batch));
   Ensure(group_ready, static_cast<size_t>(batch));
   Ensure(child_of, static_cast<size_t>(batch) * num_classes);
@@ -81,6 +84,8 @@ int64_t SampleArena::bytes_reserved() const {
       (state_of.capacity() + outcome_of.capacity() + group_ready.capacity()) *
       sizeof(uint8_t));
   total += static_cast<int64_t>(group_total.capacity() * sizeof(double));
+  total += static_cast<int64_t>(
+      (group_weights.capacity() + group_rows.capacity()) * sizeof(void*));
   for (const auto& sizes : group_sizes) {
     total += static_cast<int64_t>(sizes.capacity() * sizeof(double));
   }

@@ -127,17 +127,19 @@ class SampleArena {
   std::vector<int32_t> accepted;    ///< accepted walk ids, attempt order
 
   // Per-group state at the current level, indexed by group id.
-  std::vector<std::vector<double>> group_sizes;  ///< weighted sz_c per group
+  std::vector<std::vector<double>> group_sizes;  ///< uncached weighted sz_c
+  /// The weighted sz_c vector each group draws from: a descent-cache
+  /// entry's, or the group's own group_sizes slot when uncached.
+  std::vector<const std::vector<double>*> group_weights;
+  /// Cached predecessor rows (class-major) of each group's frontier, or
+  /// nullptr when the group expands its drawn classes itself.
+  std::vector<const uint64_t*> group_rows;
   std::vector<double> group_total;               ///< Σ_c weight_c·sz_c
   std::vector<uint8_t> group_ready;              ///< sizes computed yet?
   std::vector<int32_t> child_of;  ///< group × C → next-level group id
 
   // Scratch bitsets bridging plane rows into Bitset-taking APIs.
-  Bitset frontier_scratch;  ///< group frontier view (UnionSizes, memo key)
-  /// Descent-cache row-probe key. Separate from frontier_scratch because a
-  /// group's symbol expansions can run after later groups have already
-  /// overwritten frontier_scratch with their own size-estimation keys.
-  Bitset descent_scratch;
+  Bitset frontier_scratch;  ///< group frontier view (cache and memo key)
   Bitset expand_scratch;    ///< legacy-layout expansion input
   Bitset profile_cur;       ///< fused forward reach-profile pass
   Bitset profile_next;

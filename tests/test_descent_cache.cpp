@@ -1,14 +1,19 @@
 // Descent-cache correctness: unit behavior of the sharded DescentCache
-// (insert/lookup roundtrips, the shared-budget capacity discipline under
-// concurrency, the disabled state), the matching no-overshoot fix in
-// UnionSizeMemo, and the identity grid — estimates, per-(q,ℓ) tables, and
+// (publish/find round trips through a Reader, entries carrying every class
+// row, the shared-budget capacity discipline and racing readers/publishers
+// under concurrency, the disabled state), the matching no-overshoot fix and
+// per-caller tallies in UnionSizeMemo, cache_counters() read while a session
+// extends and draws, and the identity grid — estimates, per-(q,ℓ) tables, and
 // draw streams must be bit-identical with the cache on, off, or at any
 // capacity, across num_threads and batch_width (the purity contract the
 // cache is built on; see fpras/estimator.hpp DescentCache).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "test_seed.hpp"
 #include "test_tables.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace nfacount {
 namespace {
@@ -31,92 +37,237 @@ Bitset MakeSet(size_t bits, std::initializer_list<int> members) {
   return set;
 }
 
-TEST(DescentCacheUnit, SizesRoundTripAndCounters) {
-  DescentCache cache;
-  cache.Reset(/*capacity=*/8, /*row_words=*/1, /*alphabet_size=*/2);
-  ASSERT_TRUE(cache.enabled());
-
-  const Bitset set = MakeSet(10, {1, 4, 7});
-  const std::vector<double> sizes = {3.5, 0.25};
-  std::vector<double> out;
-  EXPECT_FALSE(cache.LookupSizes(3, set, &out));
-  EXPECT_EQ(cache.misses(), 1);
-
-  cache.InsertSizes(3, set, sizes);
-  EXPECT_EQ(cache.entries(), 1);
-  EXPECT_GT(cache.bytes(), 0);
-  ASSERT_TRUE(cache.LookupSizes(3, set, &out));
-  EXPECT_EQ(out, sizes);
-  EXPECT_EQ(cache.hits(), 1);
-
-  // Same frontier at another level is a distinct key.
-  EXPECT_FALSE(cache.LookupSizes(4, set, &out));
-  // Re-inserting an existing key neither duplicates nor spends budget.
-  cache.InsertSizes(3, set, sizes);
-  EXPECT_EQ(cache.entries(), 1);
+std::unique_ptr<DescentCache::Entry> BuildEntry(const DescentCache& cache,
+                                                int level, const Bitset& set,
+                                                std::vector<double> sizes,
+                                                uint64_t row_seed) {
+  std::unique_ptr<DescentCache::Entry> entry = cache.NewEntry(level, set);
+  entry->sizes = std::move(sizes);
+  for (size_t i = 0; i < entry->rows.size(); ++i) {
+    entry->rows[i] = row_seed * 0x9e3779b97f4a7c15ULL + i;
+  }
+  return entry;
 }
 
-TEST(DescentCacheUnit, RowsPiggybackOnAdmittedEntries) {
+TEST(DescentCacheUnit, EntryRoundTripAndCounters) {
   DescentCache cache;
-  cache.Reset(/*capacity=*/8, /*row_words=*/2, /*alphabet_size=*/2);
-  const Bitset set = MakeSet(70, {0, 65});
-  const std::vector<double> sizes = {1.0, 2.0};
-  const uint64_t row[2] = {0x12345678u, 0x9abcdef0u};
-  uint64_t got[2] = {0, 0};
+  cache.Reset(/*capacity=*/8, /*row_words=*/1, /*symbol_rows=*/2);
+  ASSERT_TRUE(cache.enabled());
+  DescentCache::Reader reader;
 
-  // InsertRow on a never-admitted key is a no-op (budget already spent or
-  // sizes never inserted) — the next lookup still misses.
-  cache.InsertRow(2, set, 1, row);
-  EXPECT_FALSE(cache.LookupRow(2, set, 1, got));
+  const Bitset set = MakeSet(10, {1, 4, 7});
+  EXPECT_EQ(reader.Find(cache, 3, set), nullptr);
+  EXPECT_EQ(reader.tally().misses, 1);
+  EXPECT_EQ(reader.tally().hits, 0);
 
-  cache.InsertSizes(2, set, sizes);
-  EXPECT_FALSE(cache.LookupRow(2, set, 1, got));  // sizes only, row unfilled
-  cache.InsertRow(2, set, 1, row);
-  ASSERT_TRUE(cache.LookupRow(2, set, 1, got));
-  EXPECT_EQ(got[0], row[0]);
-  EXPECT_EQ(got[1], row[1]);
-  // The other symbol of the same entry is still unfilled.
-  EXPECT_FALSE(cache.LookupRow(2, set, 0, got));
-  // Row storage is accounted once per entry.
-  const int64_t bytes_after_rows = cache.bytes();
-  cache.InsertRow(2, set, 1, row);
-  EXPECT_EQ(cache.bytes(), bytes_after_rows);
+  std::unique_ptr<DescentCache::Entry> entry =
+      BuildEntry(cache, 3, set, {3.5, 0.25}, 7);
+  const std::vector<uint64_t> rows = entry->rows;
+  const DescentCache::Entry* published = cache.Publish(entry);
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(entry, nullptr);  // ownership moved into the cache
+  EXPECT_EQ(cache.entries(), 1);
+  EXPECT_GT(cache.bytes(), 0);
+  EXPECT_EQ(published->total, 3.75);
+
+  // First hit comes from the shard, the second from the front table; both
+  // return the published entry with its sizes and every class row.
+  for (int probe = 1; probe <= 2; ++probe) {
+    const DescentCache::Entry* hit = reader.Find(cache, 3, set);
+    ASSERT_EQ(hit, published);
+    EXPECT_EQ(hit->sizes, (std::vector<double>{3.5, 0.25}));
+    EXPECT_EQ(hit->Row(0)[0], rows[0]);
+    EXPECT_EQ(hit->Row(1)[0], rows[1]);
+    EXPECT_EQ(reader.tally().hits, probe);
+  }
+  EXPECT_EQ(reader.tally().misses, 1);
+
+  // A second reader keeps its own tally.
+  DescentCache::Reader other;
+  EXPECT_EQ(other.Find(cache, 3, set), published);
+  EXPECT_EQ(other.tally().hits, 1);
+  EXPECT_EQ(reader.tally().hits, 2);
+
+  // Same frontier at another level is a distinct key.
+  EXPECT_EQ(reader.Find(cache, 4, set), nullptr);
+  EXPECT_EQ(reader.tally().misses, 2);
+  // Re-publishing an existing key neither duplicates nor spends budget: the
+  // first entry stays, bits unchanged, and the loser keeps its copy.
+  std::unique_ptr<DescentCache::Entry> again =
+      BuildEntry(cache, 3, set, {9.0, 9.0}, 8);
+  EXPECT_EQ(cache.Publish(again), published);
+  EXPECT_NE(again, nullptr);
+  EXPECT_EQ(cache.entries(), 1);
+  EXPECT_EQ(published->sizes, (std::vector<double>{3.5, 0.25}));
+  EXPECT_EQ(published->Row(1)[0], rows[1]);
+}
+
+TEST(DescentCacheUnit, EntryCarriesEveryClassRowEqualToPredSetWordsInto) {
+  // Entries are built from the per-class Pred(P, rep_c) sets the union-size
+  // estimation expands; every row must equal what the walk's own
+  // PredSetWordsInto would produce for that class. A wide alphabet with
+  // repeated transition rows covers the class-compressed case too.
+  if (std::getenv("NFACOUNT_DESCENT_CACHE") != nullptr) {
+    GTEST_SKIP() << "NFACOUNT_DESCENT_CACHE overrides the capacity";
+  }
+  Rng rng(TestSeed(1541));
+  const Nfa nfas[] = {RandomNfa(70, 0.05, 0.3, rng),
+                      CorpusTokenNfa(4, 64, 3)};
+  for (const Nfa& nfa : nfas) {
+    const int n = 5;
+    Result<EngineSession> session =
+        EngineSession::Create(nfa, n, SessionTestOptions(TestSeed(1542)));
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session->ExtendTo(n).ok());
+    ASSERT_TRUE(session->SampleWords(n, 8).ok());
+    const UnrolledNfa& unrolled = session->engine().unrolled();
+    const SymbolClassIndex& classes = unrolled.symbol_classes();
+    const size_t row_words =
+        (static_cast<size_t>(nfa.num_states()) + 63) / 64;
+    std::vector<uint64_t> expect(row_words);
+    int64_t visited = 0;
+    session->engine().descent_cache().ForEachEntry(
+        [&](const DescentCache::Entry& entry) {
+          ++visited;
+          ASSERT_EQ(entry.key.size(), row_words);
+          ASSERT_EQ(entry.rows.size(),
+                    static_cast<size_t>(classes.num_classes()) * row_words);
+          for (int c = 0; c < classes.num_classes(); ++c) {
+            unrolled.PredSetWordsInto(entry.key.data(),
+                                      classes.Representative(c), entry.level,
+                                      expect.data(), simd::ScalarKernels());
+            EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                                   entry.Row(c)))
+                << "level=" << entry.level << " class=" << c;
+          }
+        });
+    EXPECT_GT(visited, 0);
+    EXPECT_EQ(visited, session->diagnostics().descent_entries);
+  }
 }
 
 TEST(DescentCacheUnit, CapacityZeroDisables) {
   DescentCache cache;
-  cache.Reset(/*capacity=*/0, /*row_words=*/1, /*alphabet_size=*/2);
+  cache.Reset(/*capacity=*/0, /*row_words=*/1, /*symbol_rows=*/2);
   EXPECT_FALSE(cache.enabled());
   const Bitset set = MakeSet(8, {2});
-  cache.InsertSizes(1, set, {1.0, 1.0});
+  std::unique_ptr<DescentCache::Entry> entry =
+      BuildEntry(cache, 1, set, {1.0, 1.0}, 1);
+  EXPECT_EQ(cache.Publish(entry), nullptr);
+  EXPECT_NE(entry, nullptr);  // not admitted: the caller keeps it
   EXPECT_EQ(cache.entries(), 0);
-  std::vector<double> out;
-  EXPECT_FALSE(cache.LookupSizes(1, set, &out));
+  EXPECT_EQ(cache.bytes(), 0);
+  DescentCache::Reader reader;
+  EXPECT_EQ(reader.Find(cache, 1, set), nullptr);
+  EXPECT_EQ(reader.tally().misses, 1);
 }
 
-TEST(DescentCacheUnit, ConcurrentInsertersNeverOvershootCapacity) {
-  // The ISSUE-6 memo bug, applied to the descent cache: with the capacity
-  // check done before the shard lock, T concurrent inserters could admit up
-  // to capacity + T - 1 entries. The CAS-reserve discipline must hold the
+TEST(DescentCacheUnit, ConcurrentPublishersNeverOvershootCapacity) {
+  // The union memo's old budget bug, applied to the descent cache: with the
+  // capacity check done before the shard lock, T concurrent publishers could
+  // admit up to capacity + T - 1 entries. The CAS-reserve discipline must hold the
   // bound exactly even when every thread hammers distinct keys.
   constexpr int64_t kCapacity = 64;
   constexpr int kThreads = 8;
   constexpr int kKeysPerThread = 256;
   DescentCache cache;
-  cache.Reset(kCapacity, /*row_words=*/1, /*alphabet_size=*/2);
+  cache.Reset(kCapacity, /*row_words=*/64, /*symbol_rows=*/2);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
-      const std::vector<double> sizes = {1.0, 2.0};
       for (int i = 0; i < kKeysPerThread; ++i) {
         Bitset set(4096);
         set.Set(static_cast<size_t>(t * kKeysPerThread + i));
-        cache.InsertSizes(1, set, sizes);
+        std::unique_ptr<DescentCache::Entry> entry =
+            BuildEntry(cache, 1, set, {1.0, 2.0}, 1);
+        cache.Publish(entry);
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(cache.entries(), kCapacity);
+}
+
+TEST(DescentCacheUnit, RacingFindAndPublishSeeFirstPublishedBits) {
+  // Readers and publishers race on overlapping keys: each thread walks the
+  // key set in its own order, publishing an entry stamped with its own id
+  // on every miss. Whoever publishes a key first wins; every later Find and
+  // every losing Publish must return exactly that entry's bits (sizes and
+  // rows) — from the shard or from the thread's front table — and the
+  // admitted entries never exceed the budget.
+  constexpr int64_t kCapacity = 48;
+  constexpr int kThreads = 8;
+  constexpr int kKeys = 64;
+  constexpr int kRounds = 3;
+  DescentCache cache;
+  cache.Reset(kCapacity, /*row_words=*/2, /*symbol_rows=*/3);
+  struct Seen {
+    int key;
+    double stamp;
+    uint64_t last_row_word;
+  };
+  std::vector<std::vector<Seen>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &seen, t] {
+      DescentCache::Reader reader;
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kKeys; ++i) {
+          const int key = (i * 7 + t * 13) % kKeys;
+          Bitset set(100);
+          set.Set(static_cast<size_t>(key));
+          const DescentCache::Entry* entry = reader.Find(cache, 2, set);
+          if (entry == nullptr) {
+            std::unique_ptr<DescentCache::Entry> mine = BuildEntry(
+                cache, 2, set, {static_cast<double>(t), 1.0, 2.0},
+                static_cast<uint64_t>(t) + 1);
+            entry = cache.Publish(mine);
+            if (entry != nullptr) reader.Remember(entry);
+          }
+          if (entry != nullptr) {
+            seen[static_cast<size_t>(t)].push_back(
+                Seen{key, entry->sizes[0], entry->rows.back()});
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(cache.entries(), kCapacity);
+
+  DescentCache::Reader verify;
+  int64_t observations = 0;
+  for (const std::vector<Seen>& per_thread : seen) {
+    for (const Seen& s : per_thread) {
+      Bitset set(100);
+      set.Set(static_cast<size_t>(s.key));
+      const DescentCache::Entry* final_entry = verify.Find(cache, 2, set);
+      ASSERT_NE(final_entry, nullptr) << "key=" << s.key;
+      EXPECT_EQ(s.stamp, final_entry->sizes[0]) << "key=" << s.key;
+      EXPECT_EQ(s.last_row_word, final_entry->rows.back()) << "key=" << s.key;
+      ++observations;
+    }
+  }
+  // Each admitted key is seen by every thread in every round.
+  EXPECT_EQ(observations, kCapacity * kThreads * kRounds);
+}
+
+TEST(UnionSizeMemoUnit, LookupCountsOnTheCallersTally) {
+  UnionSizeMemo memo;
+  memo.Reset(/*capacity=*/8);
+  ProbeTally mine;
+  ProbeTally theirs;
+  const Bitset set = MakeSet(12, {3, 9});
+  std::vector<double> out;
+  EXPECT_FALSE(memo.Lookup(2, set, &out, &mine));
+  memo.Insert(2, set, {0.5, 1.5});
+  ASSERT_TRUE(memo.Lookup(2, set, &out, &theirs));
+  EXPECT_EQ(out, (std::vector<double>{0.5, 1.5}));
+  EXPECT_EQ(mine.misses, 1);
+  EXPECT_EQ(mine.hits, 0);
+  EXPECT_EQ(theirs.hits, 1);
+  EXPECT_EQ(theirs.misses, 0);
+  EXPECT_EQ(memo.entries(), 1);
 }
 
 TEST(UnionSizeMemoUnit, ConcurrentInsertersNeverOvershootCapacity) {
@@ -244,6 +395,69 @@ TEST(DescentCacheIdentity, ResumedSessionMatchesWithDifferentCacheKnob) {
   Result<std::vector<Word>> db = b->SampleWords(n, 6);
   ASSERT_TRUE(da.ok() && db.ok());
   EXPECT_EQ(*da, *db);
+}
+
+TEST(DescentCacheConcurrency, CacheCountersReadableWhileExtendingAndDrawing) {
+  // cache_counters() is the serve-mode stats surface: a second thread may
+  // read it while one thread extends the session and another draws. Every
+  // field only grows, and once quiescent the snapshot equals diagnostics().
+  Rng rng(TestSeed(1551));
+  Nfa nfa = RandomNfa(8, 0.3, 0.3, rng);
+  const int n = 7;
+  CountOptions opts = SessionTestOptions(TestSeed(1552));
+  opts.num_threads = 2;
+  Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->ExtendTo(1).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> draws_at_horizon{0};
+  std::thread drawer([&] {
+    while (!done.load()) {
+      const int length = session->published_level();
+      // Statuses vary with the instance (an empty length is NotFound); the
+      // test is about the counters, not the words.
+      (void)session->SharedSampleWords(length, 4);
+      if (length == n) draws_at_horizon.fetch_add(1);
+    }
+  });
+  int64_t snapshots = 0;
+  int64_t decreases = 0;
+  std::thread stats([&] {
+    FprasEngine::CacheCounters prev;
+    while (!done.load()) {
+      const FprasEngine::CacheCounters now = session->cache_counters();
+      if (now.memo_hits < prev.memo_hits ||
+          now.memo_misses < prev.memo_misses ||
+          now.descent_hits < prev.descent_hits ||
+          now.descent_misses < prev.descent_misses ||
+          now.descent_entries < prev.descent_entries ||
+          now.descent_bytes < prev.descent_bytes) {
+        ++decreases;
+      }
+      prev = now;
+      ++snapshots;
+    }
+  });
+  ASSERT_TRUE(session->ExtendTo(n).ok());
+  while (draws_at_horizon.load() < 3) std::this_thread::yield();
+  done.store(true);
+  drawer.join();
+  stats.join();
+  EXPECT_GT(snapshots, 0);
+  EXPECT_EQ(decreases, 0);
+
+  const FprasEngine::CacheCounters last = session->cache_counters();
+  const FprasDiagnostics& diag = session->diagnostics();
+  EXPECT_EQ(last.memo_hits, diag.memo_hits);
+  EXPECT_EQ(last.memo_misses, diag.memo_misses);
+  EXPECT_EQ(last.descent_hits, diag.descent_hits);
+  EXPECT_EQ(last.descent_misses, diag.descent_misses);
+  EXPECT_EQ(last.descent_entries, diag.descent_entries);
+  EXPECT_EQ(last.descent_bytes, diag.descent_bytes);
+  EXPECT_GT(last.descent_hits + last.descent_misses + last.memo_hits +
+                last.memo_misses,
+            0);
 }
 
 }  // namespace
