@@ -30,7 +30,7 @@ using namespace nfacount::bench;
 
 namespace {
 
-/// The E3 family instance (same generator as bench_e3/bench_e11).
+/// The E3 family instance (same generator as bench_e3).
 Nfa E3Automaton(int m) {
   Rng rng(2024);
   return RandomNfa(m, 0.3, 0.25, rng);

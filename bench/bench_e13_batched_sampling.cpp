@@ -93,7 +93,7 @@ double SweepFamily(int m, BenchReport* report) {
   Section("E13: e3 family m=" + std::to_string(m) + ", n=" +
           std::to_string(kN) + ", batch sweep");
   Nfa nfa = E3Automaton(m);
-  Row({"B", "build_s", "draws", "draws/s", "speedup", "memo_hit%",
+  Row({"B", "build_s", "draws", "draws/s", "speedup", "descent_hit%",
        "arena_KB", "arena_allocs"});
 
   std::vector<SweepPoint> points;
@@ -111,12 +111,14 @@ double SweepFamily(int m, BenchReport* report) {
     }
     const double speedup = p.draws_per_sec / base.draws_per_sec;
     best_speedup = std::max(best_speedup, speedup);
-    const double memo_total =
-        static_cast<double>(p.diag.memo_hits + p.diag.memo_misses);
+    const double descent_total =
+        static_cast<double>(p.diag.descent_hits + p.diag.descent_misses);
     Row({FmtInt(p.batch_width), Fmt(p.build_seconds, "%.2f"),
          FmtInt(p.draws), Fmt(p.draws_per_sec, "%.0f"),
          Fmt(speedup, "%.2fx"),
-         Fmt(memo_total > 0 ? 100.0 * p.diag.memo_hits / memo_total : 0.0,
+         Fmt(descent_total > 0
+                 ? 100.0 * p.diag.descent_hits / descent_total
+                 : 0.0,
              "%.1f"),
          Fmt(p.diag.arena_bytes_reserved / 1024.0, "%.1f"),
          FmtInt(p.diag.arena_alloc_events)});
@@ -130,8 +132,8 @@ double SweepFamily(int m, BenchReport* report) {
         .Set("speedup_vs_b1", speedup)
         .Set("estimate", p.estimate)
         .Set("bit_identical_to_b1", true)
-        .Set("memo_hits", p.diag.memo_hits)
-        .Set("memo_misses", p.diag.memo_misses)
+        .Set("descent_hits", p.diag.descent_hits)
+        .Set("descent_misses", p.diag.descent_misses)
         .Set("arena_bytes_reserved", p.diag.arena_bytes_reserved)
         .Set("arena_alloc_events", p.diag.arena_alloc_events)
         .Set("sample_calls", p.diag.sample_calls);

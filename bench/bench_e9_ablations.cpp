@@ -1,5 +1,6 @@
 // E9 — Ablations of the implementation's design decisions:
-//   (1) union-size memoization across sample() calls,
+//   (1) union-size memoization across sample() calls (the descent cache,
+//       off via descent_cache_capacity = 0),
 //   (2) membership-oracle amortization via stored reach profiles,
 //   (3) sample-list recycling under calibrated constants,
 //   (4) the support-perturbation branch (Alg. 3 lines 16-19).
@@ -38,7 +39,7 @@ void AblationTable(const Nfa& nfa, int n, const char* label) {
   };
   for (const Config& c : configs) {
     CountOptions options = DefaultOptions(4242);
-    options.memoize_unions = c.memoize;
+    if (!c.memoize) options.descent_cache_capacity = 0;
     options.amortize_oracle = c.amortize;
     options.recycle_samples = c.recycle;
     options.perturb_support = c.perturb;

@@ -196,8 +196,6 @@ JsonObject DiagnosticsJson(const FprasDiagnostics& d) {
       .Set("appunion_trials", d.appunion_trials)
       .Set("membership_checks", d.membership_checks)
       .Set("starvations", d.starvations)
-      .Set("memo_hits", d.memo_hits)
-      .Set("memo_misses", d.memo_misses)
       .Set("descent_hits", d.descent_hits)
       .Set("descent_misses", d.descent_misses)
       .Set("descent_entries", d.descent_entries)
@@ -386,12 +384,12 @@ int main(int argc, char** argv) {
                    options.num_threads, r->diagnostics.wall_seconds * 1e3,
                    static_cast<long long>(r->diagnostics.appunion_calls));
       std::fprintf(stderr,
-                   "# batch_width=%d simd=%s memo_hits=%lld memo_misses=%lld "
-                   "arena_bytes=%lld arena_allocs=%lld\n",
+                   "# batch_width=%d simd=%s descent_hits=%lld "
+                   "descent_misses=%lld arena_bytes=%lld arena_allocs=%lld\n",
                    r->params.ResolvedBatchWidth(),
                    options.simd_kernels ? "on" : "off",
-                   static_cast<long long>(r->diagnostics.memo_hits),
-                   static_cast<long long>(r->diagnostics.memo_misses),
+                   static_cast<long long>(r->diagnostics.descent_hits),
+                   static_cast<long long>(r->diagnostics.descent_misses),
                    static_cast<long long>(r->diagnostics.arena_bytes_reserved),
                    static_cast<long long>(r->diagnostics.arena_alloc_events));
       JsonObject report;

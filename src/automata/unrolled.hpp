@@ -257,10 +257,6 @@ class UnrolledNfa {
   void SuccSetWordsInto(const uint64_t* from, Symbol symbol, uint64_t* out,
                         const simd::BitsetKernels& kern) const;
 
-  /// PredSet computed on the legacy pointer-walk adjacency (Nfa::StepBack).
-  /// Kept as the E11 old-layout baseline and the equivalence-test oracle.
-  Bitset PredSetLegacy(const Bitset& states, Symbol symbol, int level) const;
-
   /// One forward step clipped to nothing (plain successor image), CSR-backed.
   void SuccSetInto(const Bitset& states, Symbol symbol, Bitset* out) const;
 
@@ -274,10 +270,6 @@ class UnrolledNfa {
   /// Builds a StoredSample for `word` (computes its reach set on the
   /// forward CSR).
   StoredSample MakeSample(Word word) const;
-
-  /// MakeSample on the legacy pointer-walk adjacency (Nfa::Reach). Same
-  /// profile, legacy cost — the E11 old-layout baseline for sample storage.
-  StoredSample MakeSampleLegacy(Word word) const;
 
   /// True iff word ∈ L(q^{|word|}); recomputes reachability (the
   /// non-amortized oracle used by the E9 ablation).

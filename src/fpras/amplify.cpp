@@ -12,8 +12,6 @@ void AccumulateDiagnostics(FprasDiagnostics* total, const FprasDiagnostics& d) {
   total->appunion_trials += d.appunion_trials;
   total->membership_checks += d.membership_checks;
   total->starvations += d.starvations;
-  total->memo_hits += d.memo_hits;
-  total->memo_misses += d.memo_misses;
   total->sample_calls += d.sample_calls;
   total->sample_success += d.sample_success;
   total->fail_phi_gt_1 += d.fail_phi_gt_1;

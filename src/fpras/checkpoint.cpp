@@ -41,6 +41,15 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 // the serve-mode wire protocol — identical byte semantics to the original
 // in-file classes, so existing checkpoints load unchanged.
 
+// Reserved parameter-block slots, formerly memoize_unions, csr_hot_path and
+// memo_capacity (knobs the engine no longer has). Writers store their old
+// defaults, so the v1/v2 layout and the golden fixtures are unchanged;
+// readers skip the slots, so files written with those ablations on still
+// load and resume identically.
+constexpr uint8_t kReservedMemoizeUnions = 1;
+constexpr uint8_t kReservedCsrHotPath = 1;
+constexpr int64_t kReservedMemoCapacity = int64_t{1} << 20;
+
 void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->U32(static_cast<uint32_t>(p.schedule));
   w->I32(p.m);
@@ -60,14 +69,14 @@ void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->I64(p.calibration.trial_floor);
   w->F64(p.calibration.xns_multiplier_floor);
   w->U8(p.perturb_support ? 1 : 0);
-  w->U8(p.memoize_unions ? 1 : 0);
+  w->U8(kReservedMemoizeUnions);
   w->U8(p.amortize_oracle ? 1 : 0);
   w->U8(p.recycle_samples ? 1 : 0);
-  w->U8(p.csr_hot_path ? 1 : 0);
+  w->U8(kReservedCsrHotPath);
   w->U8(p.simd_kernels ? 1 : 0);
   w->I32(p.num_threads);
   w->I32(p.batch_width);
-  w->I64(p.memo_capacity);
+  w->I64(kReservedMemoCapacity);
   // v2 extension: the symbol-class knob changes which RNG substreams a run
   // consumes, so a resumed session must keep the saved setting by default.
   w->U8(p.symbol_classes ? 1 : 0);
@@ -97,19 +106,18 @@ Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
   uint8_t flag = 0;
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->perturb_support = flag != 0;
-  NFA_RETURN_NOT_OK(r->U8(&flag));
-  p->memoize_unions = flag != 0;
+  NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved (memoize_unions)
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->amortize_oracle = flag != 0;
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->recycle_samples = flag != 0;
-  NFA_RETURN_NOT_OK(r->U8(&flag));
-  p->csr_hot_path = flag != 0;
+  NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved (csr_hot_path)
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->simd_kernels = flag != 0;
   NFA_RETURN_NOT_OK(r->I32(&p->num_threads));
   NFA_RETURN_NOT_OK(r->I32(&p->batch_width));
-  NFA_RETURN_NOT_OK(r->I64(&p->memo_capacity));
+  int64_t reserved = 0;
+  NFA_RETURN_NOT_OK(r->I64(&reserved));  // reserved (memo_capacity)
   if (version >= 2) {
     NFA_RETURN_NOT_OK(r->U8(&flag));
     p->symbol_classes = flag != 0;
@@ -300,7 +308,6 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
     params.num_threads = knobs->num_threads;
     params.batch_width = knobs->batch_width;
     params.simd_kernels = knobs->simd_kernels;
-    params.csr_hot_path = knobs->csr_hot_path;
     if (knobs->descent_cache_capacity >= 0) {
       params.descent_cache_capacity = knobs->descent_cache_capacity;
     }

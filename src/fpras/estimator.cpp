@@ -74,52 +74,6 @@ void AccumulateDiag(const FprasDiagnostics& from, FprasDiagnostics* into) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// UnionSizeMemo
-// ---------------------------------------------------------------------------
-
-void UnionSizeMemo::Reset(int64_t capacity) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-  capacity_ = capacity;
-  entries_.store(0, std::memory_order_relaxed);
-}
-
-bool UnionSizeMemo::Lookup(int level, const Bitset& set,
-                           std::vector<double>* out, ProbeTally* tally) {
-  Shard& shard = ShardFor(level, set);
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(Key{level, set});
-    if (it != shard.map.end()) {
-      *out = it->second;
-      hit = true;
-    }
-  }
-  tally->Count(hit);
-  return hit;
-}
-
-void UnionSizeMemo::Insert(int level, const Bitset& set,
-                           const std::vector<double>& sizes) {
-  Shard& shard = ShardFor(level, set);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.find(Key{level, set}) != shard.map.end()) return;
-  // Reserve one entry of the shared budget before emplacing: a CAS loop on
-  // the counter cannot overshoot capacity_, unlike the old pre-lock
-  // `entries_ >= capacity_` check, where every concurrent inserter passed
-  // the gate and then all of them emplaced.
-  int64_t current = entries_.load(std::memory_order_relaxed);
-  do {
-    if (current >= capacity_) return;
-  } while (!entries_.compare_exchange_weak(current, current + 1,
-                                           std::memory_order_relaxed));
-  shard.map.emplace(Key{level, set}, sizes);
-}
-
-// ---------------------------------------------------------------------------
 // DescentCache
 // ---------------------------------------------------------------------------
 
@@ -163,8 +117,9 @@ const DescentCache::Entry* DescentCache::Publish(
                ? existing
                : nullptr;
   }
-  // Same no-overshoot discipline as UnionSizeMemo::Insert: reserve one entry
-  // of the shared budget via CAS before emplacing.
+  // Reserve one entry of the shared budget via CAS before emplacing: unlike
+  // a pre-lock `entries_ >= capacity_` check, concurrent publishers cannot
+  // all pass the gate and overshoot.
   int64_t current = entries_.load(std::memory_order_relaxed);
   do {
     if (current >= capacity_) return nullptr;
@@ -263,8 +218,6 @@ const FprasDiagnostics& FprasEngine::diagnostics() const {
   diag_.arena_alloc_events += draw_.arena.alloc_events();
   // The cache counters are the only scheduling-dependent diagnostics.
   const CacheCounters cache = cache_counters();
-  diag_.memo_hits = cache.memo_hits;
-  diag_.memo_misses = cache.memo_misses;
   diag_.descent_hits = cache.descent_hits;
   diag_.descent_misses = cache.descent_misses;
   diag_.descent_entries = cache.descent_entries;
@@ -321,44 +274,25 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                                  WorkerScratch& ws, std::vector<double>* out,
                                  uint64_t* rows) {
   assert(level >= 1 && level <= params_.n);
-  const bool use_memo =
-      purpose == UnionPurpose::kSample && params_.memoize_unions;
   std::vector<double>& sizes = *out;
   const SymbolClassIndex& classes = unrolled_.symbol_classes();
   const int num_classes = classes.num_classes();
   const size_t row_words = ws.pred_scratch.words().size();
-  // One predecessor expansion per class: every member of a class has
-  // identical reverse rows, so Pred(P, b) is the same set for all of them.
-  // The flat layout (or the legacy pointer walk when ablated) expands the
-  // representative; `ws.pred_scratch` avoids a per-(class, call) allocation.
-  auto expand = [&](int c) -> const Bitset& {
-    const Symbol rep = classes.Representative(c);
-    Bitset& preds = ws.pred_scratch;
-    if (params_.csr_hot_path) {
-      unrolled_.PredSetInto(state_set, rep, level, &preds);
-    } else {
-      preds = unrolled_.PredSetLegacy(state_set, rep, level);
-    }
-    if (rows != nullptr) {
-      std::copy(preds.words().begin(), preds.words().end(),
-                rows + static_cast<size_t>(c) * row_words);
-    }
-    return preds;
-  };
-  if (use_memo && memo_.Lookup(level, state_set, &sizes, &ws.memo_tally)) {
-    if (rows != nullptr) {
-      for (int c = 0; c < num_classes; ++c) expand(c);
-    }
-    return;
-  }
-
   const uint64_t family =
       purpose == UnionPurpose::kCount ? kCountUnionTag : kSampleUnionTag;
   sizes.assign(static_cast<size_t>(num_classes), 0.0);
   AppUnionParams au = MakeUnionParams(params_, delta_param, level);
 
   for (int c = 0; c < num_classes; ++c) {
-    const Bitset& preds = expand(c);
+    // One predecessor expansion per class: every member of a class has
+    // identical reverse rows, so Pred(P, b) is the same set for all of them.
+    // `ws.pred_scratch` avoids a per-(class, call) allocation.
+    Bitset& preds = ws.pred_scratch;
+    unrolled_.PredSetInto(state_set, classes.Representative(c), level, &preds);
+    if (rows != nullptr) {
+      std::copy(preds.words().begin(), preds.words().end(),
+                rows + static_cast<size_t>(c) * row_words);
+    }
     if (preds.None()) continue;
     std::vector<PredecessorInput>& inputs = ws.union_inputs;
     inputs.clear();
@@ -373,10 +307,10 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
 
     // Content-keyed substream: the draws depend only on (seed, purpose,
     // level, predecessor-set content) — never on the calling cell, the
-    // worker thread, the memo state, or which class produced the set.
+    // worker thread, the cache state, or which class produced the set.
     // Recomputing an uncached entry therefore reproduces byte-for-byte what
-    // a cache hit would have returned (the shared memo and the parallel
-    // sweep stay result-invariant), and classes whose predecessor sets
+    // a cache hit would have returned (the shared descent cache and the
+    // parallel sweep stay result-invariant), and classes whose predecessor sets
     // coincide reuse the exact same draw stream — a duplicate class costs
     // AppUnion work but no fresh randomness.
     Rng rng = Rng::ForSubstream(seed_, HashCombine(family, preds.Hash()),
@@ -385,7 +319,7 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     // Batched membership needs reach profiles, which only exist when the
     // oracle is amortized; the E9 ablation path keeps the per-probe loop.
     AppUnionOutcome outcome =
-        (params_.csr_hot_path && params_.amortize_oracle)
+        params_.amortize_oracle
             ? AppUnionBatched(ptrs, au, ws.union_scratch, rng)
             : AppUnion(ptrs, au, rng);
     ++ws.diag.appunion_calls;
@@ -399,8 +333,6 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     sizes[static_cast<size_t>(c)] =
         static_cast<double>(classes.Weight(c)) * outcome.estimate;
   }
-
-  if (use_memo) memo_.Insert(level, state_set, sizes);
 }
 
 void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
@@ -511,14 +443,9 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
           const uint64_t* src =
               cached_rows + static_cast<size_t>(c) * row_words;
           std::copy(src, src + row_words, out_row);
-        } else if (params_.csr_hot_path) {
+        } else {
           unrolled_.PredSetWordsInto(ar.cur.Row(g), rep, i, out_row,
                                      *kernels_);
-        } else {
-          ar.expand_scratch.AssignWords(ar.cur.Row(g), row_words);
-          Bitset preds = unrolled_.PredSetLegacy(ar.expand_scratch, rep, i);
-          std::copy(preds.words().data(), preds.words().data() + row_words,
-                    out_row);
         }
         // Invariant carried over from the sequential walk's assert(cur.Any()):
         // sizes[c] > 0 implies the class's predecessor slice is non-empty.
@@ -605,23 +532,16 @@ void FprasEngine::AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
                                      SampleBlock* block) {
   SampleArena& ar = ws.arena;
   const Symbol* word = ar.WordOf(walk);
-  if (params_.csr_hot_path) {
-    // Fused profile pass: forward over the arena scratch, no allocation and
-    // no second simulation through MakeSample.
-    ar.profile_cur.Clear();
-    ar.profile_cur.Set(static_cast<size_t>(nfa_->initial()));
-    for (int j = 0; j < level; ++j) {
-      unrolled_.SuccSetWordsInto(ar.profile_cur.words().data(), word[j],
-                                 ar.profile_next.mutable_words(), *kernels_);
-      std::swap(ar.profile_cur, ar.profile_next);
-    }
-    block->Append(word, ar.profile_cur.words().data());
-  } else {
-    // Legacy layout: profile via the pointer-walk oracle (the E11 baseline
-    // cost), same bits.
-    Bitset reach = nfa_->Reach(Word(word, word + level));
-    block->Append(word, reach.words().data());
+  // Fused profile pass: forward over the arena scratch, no allocation and no
+  // second simulation through MakeSample.
+  ar.profile_cur.Clear();
+  ar.profile_cur.Set(static_cast<size_t>(nfa_->initial()));
+  for (int j = 0; j < level; ++j) {
+    unrolled_.SuccSetWordsInto(ar.profile_cur.words().data(), word[j],
+                               ar.profile_next.mutable_words(), *kernels_);
+    std::swap(ar.profile_cur, ar.profile_next);
   }
+  block->Append(word, ar.profile_cur.words().data());
 }
 
 double FprasEngine::PerturbedCount(int level, Rng& rng) {
@@ -683,8 +603,7 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
   if (shortfall > 0) {
     std::optional<Word> witness = unrolled_.WitnessWord(q, level);
     assert(witness.has_value());  // q is reachable at this level
-    const Bitset reach = params_.csr_hot_path ? unrolled_.ReachProfile(*witness)
-                                              : nfa_->Reach(*witness);
+    const Bitset reach = unrolled_.ReachProfile(*witness);
     ws.diag.padded_words += shortfall;
     slot.samples.AppendRepeat(witness->data(), reach.words().data(),
                               shortfall);
@@ -701,7 +620,7 @@ void FprasEngine::ProcessCell(StateId q, int level, WorkerScratch& ws) {
   singleton.Clear();
   singleton.Set(static_cast<size_t>(q));
   // N(q^ℓ) = Σ_b sz_b (lines 12-17). This union-size computation uses its
-  // own δ and its own substream family — it is not memo-shared with sample().
+  // own δ and its own substream family — it is not shared with sample().
   std::vector<double> sizes;
   UnionSizesInto(level, singleton, params_.DeltaForCountUnion(),
                  UnionPurpose::kCount, ws, &sizes);
@@ -799,7 +718,6 @@ Status FprasEngine::Prepare() {
   for (LevelState& state : levels_) {
     state.cells.resize(static_cast<size_t>(m));
   }
-  memo_.Reset(params_.memo_capacity);
   // Descent cache: process-wide env override first (CI runs the whole tier-1
   // suite with NFACOUNT_DESCENT_CACHE=0 to keep the cache-off fallback
   // covered, same idiom as NFACOUNT_FORCE_SCALAR), then the params knob.
@@ -822,7 +740,7 @@ Status FprasEngine::Prepare() {
   base.samples.Reset(0, static_cast<size_t>(m));
   base.samples.Reserve(params_.ns);
   {
-    // λ's reach profile is {initial} on either layout.
+    // λ's reach profile is {initial}.
     Bitset lambda_reach(static_cast<size_t>(m));
     lambda_reach.Set(static_cast<size_t>(nfa_->initial()));
     base.samples.AppendRepeat(nullptr, lambda_reach.words().data(),
@@ -942,9 +860,8 @@ double FprasEngine::EstimateUnionOfStates(const Bitset& targets, int level,
   Rng rng = Rng::ForSubstream(seed_, HashCombine(kFinalUnionTag, alive.Hash()),
                               static_cast<uint64_t>(level));
   AppUnionOutcome outcome =
-      (params_.csr_hot_path && params_.amortize_oracle)
-          ? AppUnionBatched(ptrs, au, ws.union_scratch, rng)
-          : AppUnion(ptrs, au, rng);
+      params_.amortize_oracle ? AppUnionBatched(ptrs, au, ws.union_scratch, rng)
+                              : AppUnion(ptrs, au, rng);
   ++ws.diag.appunion_calls;
   ws.diag.appunion_trials += outcome.completed_trials;
   ws.diag.membership_checks += outcome.membership_checks;
@@ -969,8 +886,6 @@ FprasEngine::CacheCounters FprasEngine::cache_counters() const {
   // draw thread keep writing the rest of their scratch bundles meanwhile.
   CacheCounters c;
   auto add = [&c](const WorkerScratch& ws) {
-    c.memo_hits += ws.memo_tally.hits.load(std::memory_order_relaxed);
-    c.memo_misses += ws.memo_tally.misses.load(std::memory_order_relaxed);
     c.descent_hits += ws.descent.tally().hits.load(std::memory_order_relaxed);
     c.descent_misses +=
         ws.descent.tally().misses.load(std::memory_order_relaxed);
@@ -1081,15 +996,10 @@ std::optional<Word> FprasEngine::SampleAcceptedWord() {
 // Facade
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Copies the CountOptions behavior flags onto derived params.
 void ApplyOptionFlags(const CountOptions& options, FprasParams* params) {
   params->perturb_support = options.perturb_support;
-  params->memoize_unions = options.memoize_unions;
   params->amortize_oracle = options.amortize_oracle;
   params->recycle_samples = options.recycle_samples;
-  params->csr_hot_path = options.csr_hot_path;
   params->num_threads = options.num_threads;
   params->batch_width = options.batch_width;
   params->simd_kernels = options.simd_kernels;
@@ -1098,8 +1008,6 @@ void ApplyOptionFlags(const CountOptions& options, FprasParams* params) {
   }
   params->symbol_classes = options.symbol_classes;
 }
-
-}  // namespace
 
 Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
                                   const CountOptions& options) {

@@ -38,8 +38,9 @@
 // (Rng::ForSubstream(seed, q, ℓ)), and every union-size estimation draws from
 // a substream keyed by its *content* (purpose, level, P-set). Estimates,
 // samples, and per-(q,ℓ) tables are therefore bit-identical for every
-// num_threads value, including 1; only scheduling-dependent counters (memo
-// hits/misses, appunion_calls) may differ between thread counts.
+// num_threads value, including 1; only scheduling-dependent counters
+// (descent-cache hits/misses, appunion_calls) may differ between thread
+// counts.
 //
 // Resumable pipeline (docs/ARCHITECTURE.md "Engine lifecycle & incremental
 // extension"): the per-(q,ℓ) table is organized as one LevelState object per
@@ -57,9 +58,9 @@
 // workers, and computed_level_ is an atomic, so ONE extending thread
 // (RunToLevel) may run concurrently with draw/read threads as long as the
 // readers only touch levels the extender has already finished: frozen
-// LevelStates are immutable, the union memo and descent cache are internally
-// synchronized (published descent entries are immutable), and every estimate
-// is content-keyed, so the interleaving is invisible in all results. Callers
+// LevelStates are immutable, the descent cache is internally synchronized
+// (published entries are immutable), and every estimate is content-keyed,
+// so the interleaving is invisible in all results. Callers
 // provide the level-visibility fence (the EngineSession read plane publishes
 // levels with release/acquire ordering) and must serialize draws among
 // themselves (post_attempt_counter_ is a plain cursor); diagnostics() still
@@ -98,17 +99,16 @@ struct FprasDiagnostics {
   /// number is an upper bound of the legacy one on the same run.
   int64_t membership_checks = 0;
   int64_t starvations = 0;      ///< AppUnion Line-8 events
-  /// UnionSizeMemo probes: one per sample-context union-size computation,
-  /// i.e. per descent step the descent cache did not answer (every step
-  /// when it is off).
+  /// Always 0: there is no union-size memo (the descent cache is the only
+  /// sample-path cache). Kept so existing readers of the diagnostics still
+  /// compile.
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
   /// DescentCache probes: exactly one per (walk group, level) step of a
   /// lockstep batch, answered from the cache (hit: sizes and every class
-  /// row) or built fresh (miss). Scheduling-dependent like the memo
-  /// counters; a descent hit bypasses the union memo entirely, so memo
-  /// traffic shrinks when the descent cache is enabled (results never move
-  /// — both are pure caches of content-keyed computations).
+  /// row) or built fresh (miss). Scheduling-dependent (results never move —
+  /// the cache holds content-keyed computations); no probes when the cache
+  /// is disabled.
   int64_t descent_hits = 0;
   int64_t descent_misses = 0;
   int64_t descent_entries = 0;  ///< admitted (level, frontier) cache entries
@@ -220,61 +220,6 @@ struct alignas(64) ProbeTally {
     counter.store(counter.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
   }
-};
-
-/// Sharded, thread-safe cache of sample-context union-size vectors keyed by
-/// (level, P-set). Because UnionSizes draws from a content-keyed RNG
-/// substream, a cached vector is exactly what recomputation would produce —
-/// the memo is a pure cache shared freely across worker threads without
-/// affecting any estimate. Only the per-caller hit/miss tallies are
-/// scheduling-dependent (two threads can both miss on a key a sequential run
-/// would hit once).
-class UnionSizeMemo {
- public:
-  /// Clears all shards; caps the total entry count.
-  void Reset(int64_t capacity);
-
-  /// If (level, set) is cached, copies the sizes into *out and returns true.
-  /// Counts one hit or miss on the caller's `tally`.
-  bool Lookup(int level, const Bitset& set, std::vector<double>* out,
-              ProbeTally* tally);
-
-  /// Caches (level, set) → sizes unless capacity is reached (first writer
-  /// wins; concurrent inserts of the same key carry identical values).
-  void Insert(int level, const Bitset& set, const std::vector<double>& sizes);
-
-  int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
-
- private:
-  struct Key {
-    int level;
-    Bitset set;
-    bool operator==(const Key& other) const {
-      return level == other.level && set == other.set;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      return static_cast<size_t>(
-          HashCombine(static_cast<uint64_t>(key.level), key.set.Hash()));
-    }
-  };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Key, std::vector<double>, KeyHash> map;
-  };
-
-  static constexpr int kNumShards = 16;
-
-  Shard& ShardFor(int level, const Bitset& set) {
-    return shards_[static_cast<size_t>(
-        HashCombine(static_cast<uint64_t>(level), set.Hash()) %
-        kNumShards)];
-  }
-
-  std::array<Shard, kNumShards> shards_;
-  int64_t capacity_ = 0;
-  std::atomic<int64_t> entries_{0};
 };
 
 /// Sharded, capacity-bounded cache of the per-(level, frontier-set) descent
@@ -550,14 +495,12 @@ class FprasEngine {
   /// The shared descent cache (entry inspection in tests).
   const DescentCache& descent_cache() const { return descent_; }
 
-  /// Snapshot of the cache counters (union memo + descent cache): the
-  /// per-scratch hit/miss tallies summed, plus the caches' entry and byte
-  /// totals. Unlike diagnostics(), this reads only atomics and is safe to
-  /// call from any thread at any time — it is the serve-mode stats surface.
+  /// Snapshot of the descent-cache counters: the per-scratch hit/miss
+  /// tallies summed, plus the cache's entry and byte totals. Unlike
+  /// diagnostics(), this reads only atomics and is safe to call from any
+  /// thread at any time — it is the serve-mode stats surface.
   /// Each field only grows between Prepare() calls.
   struct CacheCounters {
-    int64_t memo_hits = 0;       ///< UnionSizeMemo hits
-    int64_t memo_misses = 0;     ///< UnionSizeMemo misses
     int64_t descent_hits = 0;    ///< DescentCache hits, one per walk step
     int64_t descent_misses = 0;  ///< DescentCache misses, one per walk step
     int64_t descent_entries = 0; ///< admitted DescentCache entries
@@ -590,13 +533,12 @@ class FprasEngine {
     FprasDiagnostics diag;        ///< merged into diagnostics() on demand
     /// This bundle's descent-cache front table and hit/miss tally.
     DescentCache::Reader descent;
-    ProbeTally memo_tally;        ///< this bundle's union-memo probes
   };
 
   /// Which substream family a union-size estimation draws from. The count
   /// path (Alg. 3 line 15) and the sample path (Alg. 2 lines 8-11) use
   /// distinct δ parameters and must not share randomness; only the sample
-  /// path is memo-shared.
+  /// path is cached (DescentCache).
   enum class UnionPurpose { kCount, kSample };
 
   /// The per-symbol-class decomposition of ∪_{q∈P} L(q^level) (Alg. 2 lines
@@ -608,7 +550,7 @@ class FprasEngine {
   /// of *out is reused across calls. Each class draws from a substream keyed
   /// by (purpose, level, predecessor-set content), so the result is a
   /// deterministic function of the engine seed and the arguments —
-  /// independent of caller, thread, and memo state — and classes that share
+  /// independent of caller, thread, and cache state — and classes that share
   /// a predecessor set share the draws (duplicate content costs no fresh
   /// randomness). When `rows` is non-null it also receives every class's
   /// predecessor row Pred(state_set, rep_c) (class-major, ⌈m/64⌉ words
@@ -710,11 +652,10 @@ class FprasEngine {
   /// serve-mode readers can poll it against a concurrently extending writer;
   /// AdvanceLevel stores with release ordering after freezing the level.
   std::atomic<int> computed_level_{-1};
-  UnionSizeMemo memo_;  ///< sample-context union sizes, shared across workers
   /// Cross-batch descent cache (sizes + every class's predecessor row per
-  /// (level, frontier)), shared across workers like the memo; each scratch
-  /// bundle reads it through its own DescentCache::Reader. Reset by
-  /// Prepare() from params_.descent_cache_capacity.
+  /// (level, frontier)), shared across workers; each scratch bundle reads it
+  /// through its own DescentCache::Reader. Reset by Prepare() from
+  /// params_.descent_cache_capacity.
   DescentCache descent_;
   double final_estimate_ = 0.0;
   double run_wall_seconds_ = 0.0;
@@ -737,10 +678,8 @@ struct CountOptions {
   Calibration calibration = Calibration::Practical();
   uint64_t seed = 0x5eedf00dULL;  ///< seed of the whole randomized run
   bool perturb_support = true;  ///< see FprasParams::perturb_support
-  bool memoize_unions = true;   ///< see FprasParams::memoize_unions
   bool amortize_oracle = true;  ///< see FprasParams::amortize_oracle
   bool recycle_samples = true;  ///< see FprasParams::recycle_samples
-  bool csr_hot_path = true;     ///< see FprasParams::csr_hot_path
   /// Level-sweep worker threads (1 = sequential, 0 = all hardware threads).
   /// Bit-identical results for every value; see FprasParams::num_threads.
   int num_threads = 1;
@@ -751,8 +690,8 @@ struct CountOptions {
   /// identical results either way; see FprasParams::simd_kernels.
   bool simd_kernels = true;
   /// Cross-batch descent-cache entry budget (0 disables the cache, -1 = use
-  /// the built-in default). Bit-identical results at every value; see
-  /// FprasParams::descent_cache_capacity.
+  /// the built-in default). Bit-identical results at every value; 0 is the
+  /// uncached ablation. See FprasParams::descent_cache_capacity.
   int64_t descent_cache_capacity = -1;
   /// Symbol-class alphabet compression: collapse symbols with identical
   /// transition rows and run the per-symbol hot loops per class. Same (ε, δ)
@@ -761,6 +700,10 @@ struct CountOptions {
   /// other knob); see FprasParams::symbol_classes.
   bool symbol_classes = true;
 };
+
+/// Copies the CountOptions behavior flags and runtime knobs onto params
+/// derived by FprasParams::Make (every facade that takes CountOptions).
+void ApplyOptionFlags(const CountOptions& options, FprasParams* params);
 
 /// Result of ApproxCount.
 struct CountEstimate {

@@ -139,8 +139,7 @@ class SampleArena {
   std::vector<int32_t> child_of;  ///< group × C → next-level group id
 
   // Scratch bitsets bridging plane rows into Bitset-taking APIs.
-  Bitset frontier_scratch;  ///< group frontier view (cache and memo key)
-  Bitset expand_scratch;    ///< legacy-layout expansion input
+  Bitset frontier_scratch;  ///< group frontier view (descent-cache key)
   Bitset profile_cur;       ///< fused forward reach-profile pass
   Bitset profile_next;
 

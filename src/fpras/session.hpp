@@ -53,15 +53,14 @@
 namespace nfacount {
 
 /// Runtime knobs that may be changed when resuming a session: worker
-/// threads, lockstep batch width, kernel table, transition layout, and the
-/// symbol-class layer. All except `symbol_classes` can never change a result
-/// — only wall-clock time; `symbol_classes` is envelope-preserving rather
-/// than bit-preserving (see FprasParams::symbol_classes).
+/// threads, lockstep batch width, kernel table, descent-cache budget, and
+/// the symbol-class layer. All except `symbol_classes` can never change a
+/// result — only wall-clock time; `symbol_classes` is envelope-preserving
+/// rather than bit-preserving (see FprasParams::symbol_classes).
 struct SessionKnobs {
   int num_threads = 1;       ///< see FprasParams::num_threads
   int batch_width = 0;       ///< see FprasParams::batch_width (0 = default)
   bool simd_kernels = true;  ///< see FprasParams::simd_kernels
-  bool csr_hot_path = true;  ///< see FprasParams::csr_hot_path
   /// Descent-cache entry budget for the resumed session (-1 keeps the
   /// built-in default). Runtime-only like the other knobs: checkpoints do
   /// not serialize it, and results are bit-identical at every value. See

@@ -84,7 +84,6 @@ Status SessionRegistry::Register(const std::string& name,
   co.num_threads = options_.knobs.num_threads;
   co.batch_width = options_.knobs.batch_width;
   co.simd_kernels = options_.knobs.simd_kernels;
-  co.csr_hot_path = options_.knobs.csr_hot_path;
   co.descent_cache_capacity = options_.knobs.descent_cache_capacity;
   if (options_.knobs.symbol_classes >= 0) {
     co.symbol_classes = options_.knobs.symbol_classes != 0;
@@ -255,7 +254,6 @@ Result<EngineSession> SessionRegistry::CreateFromTuple(
   co.num_threads = options_.knobs.num_threads;
   co.batch_width = options_.knobs.batch_width;
   co.simd_kernels = options_.knobs.simd_kernels;
-  co.csr_hot_path = options_.knobs.csr_hot_path;
   co.descent_cache_capacity = options_.knobs.descent_cache_capacity;
   co.symbol_classes = slot.symbol_classes;
   return EngineSession::Create(std::move(parsed).value(), slot.horizon, co);
@@ -560,8 +558,6 @@ void SessionRegistry::RenderStats(JsonObject* out) const {
         entry.Set("published_level",
                   static_cast<int64_t>(slot->session->published_level()));
         const FprasEngine::CacheCounters cc = slot->session->cache_counters();
-        entry.Set("memo_hits", cc.memo_hits);
-        entry.Set("memo_misses", cc.memo_misses);
         entry.Set("descent_hits", cc.descent_hits);
         entry.Set("descent_misses", cc.descent_misses);
         entry.Set("descent_entries", cc.descent_entries);

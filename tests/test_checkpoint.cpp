@@ -1,6 +1,6 @@
 // Binary session checkpoints: save→load→extend must be bit-identical to an
 // uninterrupted run at the same (seed, knob) point — across every
-// num_threads × batch_width × simd × csr_hot_path combination — and every
+// num_threads × batch_width × simd combination — and every
 // defective file (truncated, corrupted, wrong magic/version/endianness) must
 // be rejected with a precise Status, never loaded partially. A committed
 // golden file pins the on-disk format against accidental layout changes.
@@ -84,7 +84,7 @@ TEST(Checkpoint, RoundTripRestoresFullState) {
 
 TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   // The acceptance matrix: a session saved at n/2 and resumed under every
-  // (threads, batch, simd, csr) combination, then extended to n, must equal
+  // (threads, batch, simd) combination, then extended to n, must equal
   // a fresh uninterrupted run — estimates, tables, and draws.
   Rng rng(TestSeed(911));
   Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
@@ -108,37 +108,33 @@ TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   const int threads_grid[] = {1, 4};
   const int batch_grid[] = {1, 32};
   const bool simd_grid[] = {true, false};
-  const bool csr_grid[] = {true, false};
   for (int threads : threads_grid) {
     for (int batch : batch_grid) {
       for (bool simd : simd_grid) {
-        for (bool csr : csr_grid) {
-          SessionKnobs knobs;
-          knobs.num_threads = threads;
-          knobs.batch_width = batch;
-          knobs.simd_kernels = simd;
-          knobs.csr_hot_path = csr;
-          Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
-          ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-          ASSERT_TRUE(resumed->ExtendTo(n).ok());
-          SCOPED_TRACE(::testing::Message()
-                       << "threads=" << threads << " batch=" << batch
-                       << " simd=" << simd << " csr=" << csr);
-          for (int level = 0; level <= n; ++level) {
-            Result<double> a = fresh->CountAtLength(level);
-            Result<double> b = resumed->CountAtLength(level);
-            ASSERT_TRUE(a.ok() && b.ok());
-            EXPECT_EQ(*a, *b) << "level=" << level;
-          }
-          ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
-          // The draw stream must track the fresh session's across repeated
-          // calls — the cursor advances exactly, never batch-rounded.
-          Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
-          Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
-          ASSERT_TRUE(words.ok() && words2.ok());
-          EXPECT_EQ(*fresh_words, *words);
-          EXPECT_EQ(*fresh_words2, *words2);
+        SessionKnobs knobs;
+        knobs.num_threads = threads;
+        knobs.batch_width = batch;
+        knobs.simd_kernels = simd;
+        Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
+        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+        ASSERT_TRUE(resumed->ExtendTo(n).ok());
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " batch=" << batch
+                                          << " simd=" << simd);
+        for (int level = 0; level <= n; ++level) {
+          Result<double> a = fresh->CountAtLength(level);
+          Result<double> b = resumed->CountAtLength(level);
+          ASSERT_TRUE(a.ok() && b.ok());
+          EXPECT_EQ(*a, *b) << "level=" << level;
         }
+        ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
+        // The draw stream must track the fresh session's across repeated
+        // calls — the cursor advances exactly, never batch-rounded.
+        Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
+        Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
+        ASSERT_TRUE(words.ok() && words2.ok());
+        EXPECT_EQ(*fresh_words, *words);
+        EXPECT_EQ(*fresh_words2, *words2);
       }
     }
   }
@@ -464,6 +460,19 @@ Result<EngineSession> GoldenV2Session(const std::string& nfa_file) {
   return session;
 }
 
+/// `body` followed by its FNV-1a 64 checksum trailer, as the writer seals a
+/// checkpoint: a crafted file can carry a valid checksum.
+std::string Sealed(const std::string& body) {
+  uint64_t sum = 14695981039346656037ULL;
+  for (char c : body) {
+    sum = (sum ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  ByteWriter w;
+  w.Bytes(body.data(), body.size());
+  w.U64(sum);
+  return w.buffer();
+}
+
 /// Offset of the first differing byte (the shorter length if one string
 /// is a prefix of the other), for failure messages that stay readable.
 size_t FirstDifference(const std::string& a, const std::string& b) {
@@ -516,6 +525,57 @@ TEST(CheckpointV2Golden, WideFixtureStoresHighByteSymbols) {
   EXPECT_GT(high, 0);
 }
 
+TEST(CheckpointV2Golden, LegacyAblationSlotsResumeLikeTheFixture) {
+  // The parameter block keeps three reserved slots where older writers
+  // stored the union-memo switch, the pointer-walk layout switch and the
+  // memo capacity (file offsets 129, 132 and 142..149: 12 preamble bytes,
+  // the 8-byte seed, then the block). A checkpoint written with those
+  // ablations on (0, 0, 0) must resume exactly like the fixture, which
+  // stores the defaults (1, 1, 2^20).
+  constexpr size_t kMemoizeAt = 129;
+  constexpr size_t kCsrAt = 132;
+  constexpr size_t kMemoCapacityAt = 142;
+  const std::string fixture = ReadFileBytes(DataPath("golden_session_v2.ckpt"));
+  ASSERT_GT(fixture.size(), kMemoCapacityAt + 8);
+  ASSERT_EQ(fixture[kMemoizeAt], 1);
+  ASSERT_EQ(fixture[kCsrAt], 1);
+  ByteReader capacity_field(fixture.data() + kMemoCapacityAt, 8);
+  int64_t capacity = 0;
+  ASSERT_TRUE(capacity_field.I64(&capacity).ok());
+  ASSERT_EQ(capacity, int64_t{1} << 20);
+
+  std::string body = fixture.substr(0, fixture.size() - 8);
+  body[kMemoizeAt] = 0;
+  body[kCsrAt] = 0;
+  body.replace(kMemoCapacityAt, 8, std::string(8, '\0'));
+  const std::string legacy = Sealed(body);
+  ASSERT_NE(legacy, fixture);
+
+  Result<EngineSession> want = DeserializeSessionCheckpoint(fixture);
+  Result<EngineSession> got = DeserializeSessionCheckpoint(legacy);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const int n = want->horizon();
+  ASSERT_EQ(got->horizon(), n);
+  ASSERT_EQ(got->computed_level(), want->computed_level());
+  ASSERT_TRUE(want->ExtendTo(n).ok());
+  ASSERT_TRUE(got->ExtendTo(n).ok());
+  for (int level = 0; level <= n; ++level) {
+    Result<double> a = want->CountAtLength(level);
+    Result<double> b = got->CountAtLength(level);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b) << "level=" << level;
+  }
+  ExpectTablesIdentical(want->engine(), got->engine(), want->nfa(), n);
+  Result<std::vector<Word>> want_draws = want->SampleWords(n, 32);
+  Result<std::vector<Word>> got_draws = got->SampleWords(n, 32);
+  ASSERT_TRUE(want_draws.ok() && got_draws.ok());
+  EXPECT_EQ(*want_draws, *got_draws);
+  // The reserved slots are rewritten with the fixed values.
+  EXPECT_EQ(SerializeSessionCheckpoint(*got),
+            SerializeSessionCheckpoint(*want));
+}
+
 TEST(Checkpoint, EmbeddedHeaderBombIsRejectedBeforeAllocation) {
   // A crafted file can carry a valid checksum, so the embedded automaton
   // text is untrusted input: swap in a header declaring 6.5e9 transition
@@ -532,13 +592,9 @@ TEST(Checkpoint, EmbeddedHeaderBombIsRejectedBeforeAllocation) {
   sealed.String(bomb);
   const size_t rest = text_at + static_cast<size_t>(text_size);
   sealed.Bytes(bytes.data() + rest, bytes.size() - 8 - rest);
-  uint64_t sum = 14695981039346656037ULL;  // FNV-1a 64, as the trailer
-  for (char c : sealed.buffer()) {
-    sum = (sum ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-  }
-  sealed.U64(sum);
 
-  Result<EngineSession> r = DeserializeSessionCheckpoint(sealed.buffer());
+  Result<EngineSession> r =
+      DeserializeSessionCheckpoint(Sealed(sealed.buffer()));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("transition rows"), std::string::npos)

@@ -1,12 +1,11 @@
 // Descent-cache correctness: unit behavior of the sharded DescentCache
 // (publish/find round trips through a Reader, entries carrying every class
 // row, the shared-budget capacity discipline and racing readers/publishers
-// under concurrency, the disabled state), the matching no-overshoot fix and
-// per-caller tallies in UnionSizeMemo, cache_counters() read while a session
-// extends and draws, and the identity grid — estimates, per-(q,ℓ) tables, and
-// draw streams must be bit-identical with the cache on, off, or at any
-// capacity, across num_threads and batch_width (the purity contract the
-// cache is built on; see fpras/estimator.hpp DescentCache).
+// under concurrency, the disabled state), cache_counters() read while a
+// session extends and draws, and the identity grid — estimates, per-(q,ℓ)
+// tables, and draw streams must be bit-identical with the cache on, off, or
+// at any capacity, across num_threads and batch_width (the purity contract
+// the cache is built on; see fpras/estimator.hpp DescentCache).
 
 #include <gtest/gtest.h>
 
@@ -163,8 +162,8 @@ TEST(DescentCacheUnit, CapacityZeroDisables) {
 }
 
 TEST(DescentCacheUnit, ConcurrentPublishersNeverOvershootCapacity) {
-  // The union memo's old budget bug, applied to the descent cache: with the
-  // capacity check done before the shard lock, T concurrent publishers could
+  // The budget bug of a pre-lock capacity check: with the check done
+  // before the shard lock, T concurrent publishers could
   // admit up to capacity + T - 1 entries. The CAS-reserve discipline must hold the
   // bound exactly even when every thread hammers distinct keys.
   constexpr int64_t kCapacity = 64;
@@ -250,48 +249,6 @@ TEST(DescentCacheUnit, RacingFindAndPublishSeeFirstPublishedBits) {
   }
   // Each admitted key is seen by every thread in every round.
   EXPECT_EQ(observations, kCapacity * kThreads * kRounds);
-}
-
-TEST(UnionSizeMemoUnit, LookupCountsOnTheCallersTally) {
-  UnionSizeMemo memo;
-  memo.Reset(/*capacity=*/8);
-  ProbeTally mine;
-  ProbeTally theirs;
-  const Bitset set = MakeSet(12, {3, 9});
-  std::vector<double> out;
-  EXPECT_FALSE(memo.Lookup(2, set, &out, &mine));
-  memo.Insert(2, set, {0.5, 1.5});
-  ASSERT_TRUE(memo.Lookup(2, set, &out, &theirs));
-  EXPECT_EQ(out, (std::vector<double>{0.5, 1.5}));
-  EXPECT_EQ(mine.misses, 1);
-  EXPECT_EQ(mine.hits, 0);
-  EXPECT_EQ(theirs.hits, 1);
-  EXPECT_EQ(theirs.misses, 0);
-  EXPECT_EQ(memo.entries(), 1);
-}
-
-TEST(UnionSizeMemoUnit, ConcurrentInsertersNeverOvershootCapacity) {
-  // The original bug site (satellite 2): UnionSizeMemo::Insert checked
-  // entries_ >= capacity_ before taking the shard lock, so concurrent
-  // inserters overshot the budget. Same bound, same discipline.
-  constexpr int64_t kCapacity = 64;
-  constexpr int kThreads = 8;
-  constexpr int kKeysPerThread = 256;
-  UnionSizeMemo memo;
-  memo.Reset(kCapacity);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&memo, t] {
-      const std::vector<double> sizes = {1.0, 2.0};
-      for (int i = 0; i < kKeysPerThread; ++i) {
-        Bitset set(4096);
-        set.Set(static_cast<size_t>(t * kKeysPerThread + i));
-        memo.Insert(1, set, sizes);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(memo.entries(), kCapacity);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +358,9 @@ TEST(DescentCacheConcurrency, CacheCountersReadableWhileExtendingAndDrawing) {
   // cache_counters() is the serve-mode stats surface: a second thread may
   // read it while one thread extends the session and another draws. Every
   // field only grows, and once quiescent the snapshot equals diagnostics().
+  if (std::getenv("NFACOUNT_DESCENT_CACHE") != nullptr) {
+    GTEST_SKIP() << "NFACOUNT_DESCENT_CACHE overrides the capacity";
+  }
   Rng rng(TestSeed(1551));
   Nfa nfa = RandomNfa(8, 0.3, 0.3, rng);
   const int n = 7;
@@ -427,9 +387,7 @@ TEST(DescentCacheConcurrency, CacheCountersReadableWhileExtendingAndDrawing) {
     FprasEngine::CacheCounters prev;
     while (!done.load()) {
       const FprasEngine::CacheCounters now = session->cache_counters();
-      if (now.memo_hits < prev.memo_hits ||
-          now.memo_misses < prev.memo_misses ||
-          now.descent_hits < prev.descent_hits ||
+      if (now.descent_hits < prev.descent_hits ||
           now.descent_misses < prev.descent_misses ||
           now.descent_entries < prev.descent_entries ||
           now.descent_bytes < prev.descent_bytes) {
@@ -449,15 +407,11 @@ TEST(DescentCacheConcurrency, CacheCountersReadableWhileExtendingAndDrawing) {
 
   const FprasEngine::CacheCounters last = session->cache_counters();
   const FprasDiagnostics& diag = session->diagnostics();
-  EXPECT_EQ(last.memo_hits, diag.memo_hits);
-  EXPECT_EQ(last.memo_misses, diag.memo_misses);
   EXPECT_EQ(last.descent_hits, diag.descent_hits);
   EXPECT_EQ(last.descent_misses, diag.descent_misses);
   EXPECT_EQ(last.descent_entries, diag.descent_entries);
   EXPECT_EQ(last.descent_bytes, diag.descent_bytes);
-  EXPECT_GT(last.descent_hits + last.descent_misses + last.memo_hits +
-                last.memo_misses,
-            0);
+  EXPECT_GT(last.descent_hits + last.descent_misses, 0);
 }
 
 }  // namespace

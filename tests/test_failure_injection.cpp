@@ -206,15 +206,15 @@ TEST(FailureInjection, StateWithNoOutgoingEdges) {
   EXPECT_EQ(r3->estimate, 0.0);
 }
 
-TEST(FailureInjection, MemoCapacityZeroStillCorrect) {
+TEST(FailureInjection, DescentCacheCapacityZeroStillCorrect) {
   Nfa nfa = ParityNfa(2);
   const int n = 7;
   Result<FprasParams> params = FprasParams::Make(
       Schedule::kFaster, nfa.num_states(), n, 0.35, 0.2, Calibration::Practical());
   ASSERT_TRUE(params.ok());
-  FprasParams no_memo = *params;
-  no_memo.memo_capacity = 0;  // cache always misses
-  FprasEngine engine(&nfa, no_memo, 9);
+  FprasParams uncached = *params;
+  uncached.descent_cache_capacity = 0;  // every walk step recomputes
+  FprasEngine engine(&nfa, uncached, 9);
   ASSERT_TRUE(engine.Run().ok());
   EXPECT_NEAR(engine.Estimate() / 64.0, 1.0, 0.5);  // 2^{n-1}
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "automata/generators.hpp"
@@ -122,7 +123,9 @@ TEST(Parallel, TablesAndSamplesBitIdenticalAcrossThreadCounts) {
     std::optional<Word> a = sequential.SampleAcceptedWord();
     std::optional<Word> b = parallel.SampleAcceptedWord();
     ASSERT_EQ(a.has_value(), b.has_value()) << "draw " << i;
-    if (a.has_value()) EXPECT_EQ(*a, *b) << "draw " << i;
+    if (a.has_value()) {
+      EXPECT_EQ(*a, *b) << "draw " << i;
+    }
   }
 }
 
@@ -148,15 +151,21 @@ TEST(Parallel, SamplerFacadeIdenticalAcrossThreadCounts) {
 
 TEST(Parallel, MemoIsAPureCache) {
   // Union-size randomness is keyed by content, not by call order, so
-  // disabling memoization changes only the work done — never an estimate.
+  // disabling the descent cache (capacity 0) changes only the work done —
+  // never an estimate.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
-  CountOptions with_memo = ThreadedOpts(TestSeed(331), 2);
-  CountOptions without_memo = with_memo;
-  without_memo.memoize_unions = false;
-  Result<CountEstimate> a = ApproxCount(nfa, 8, with_memo);
-  Result<CountEstimate> b = ApproxCount(nfa, 8, without_memo);
+  CountOptions cached = ThreadedOpts(TestSeed(331), 2);
+  CountOptions uncached = cached;
+  uncached.descent_cache_capacity = 0;
+  Result<CountEstimate> a = ApproxCount(nfa, 8, cached);
+  Result<CountEstimate> b = ApproxCount(nfa, 8, uncached);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->estimate, b->estimate);
+  // NFACOUNT_DESCENT_CACHE overrides the default capacity of run `a`.
+  if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
+    EXPECT_GT(a->diagnostics.descent_hits, 0);
+    EXPECT_LT(a->diagnostics.appunion_trials, b->diagnostics.appunion_trials);
+  }
 }
 
 TEST(Parallel, AllLengthsBitIdenticalAcrossThreadCounts) {

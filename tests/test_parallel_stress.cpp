@@ -18,7 +18,7 @@ namespace {
 
 using testing_support::TestSeed;
 
-TEST(ParallelStress, MemoDisabledManyThreadsMatchesSequential) {
+TEST(ParallelStress, UncachedManyThreadsMatchesSequential) {
   Rng rng(TestSeed(371));
   for (int trial = 0; trial < 2; ++trial) {
     Nfa nfa = RandomNfa(10, 0.25, 0.3, rng);
@@ -27,8 +27,7 @@ TEST(ParallelStress, MemoDisabledManyThreadsMatchesSequential) {
     base.eps = 0.35;
     base.delta = 0.2;
     base.seed = TestSeed(372) + trial;
-    base.memoize_unions = false;  // force every cell to recompute unions
-    // The descent cache also skips union estimations on a hit, and its hit
+    // The descent cache skips union estimations on a hit, and its hit
     // pattern is scheduling-dependent — results stay bit-identical (the
     // identity grid in test_descent_cache.cpp) but the appunion_trials
     // work counter below would not. Off, so every walk recomputes.
@@ -45,8 +44,8 @@ TEST(ParallelStress, MemoDisabledManyThreadsMatchesSequential) {
     EXPECT_EQ(a->estimate, b->estimate) << "trial=" << trial;
     EXPECT_EQ(a->diagnostics.sample_calls, b->diagnostics.sample_calls);
     EXPECT_EQ(a->diagnostics.appunion_trials, b->diagnostics.appunion_trials);
-    EXPECT_EQ(a->diagnostics.memo_hits, 0);
-    EXPECT_EQ(b->diagnostics.memo_hits, 0);
+    EXPECT_EQ(a->diagnostics.descent_hits, 0);
+    EXPECT_EQ(b->diagnostics.descent_hits, 0);
   }
 }
 
@@ -77,22 +76,18 @@ TEST(ParallelStress, ParallelAcrossAblationGrid) {
   Rng rng(TestSeed(391));
   Nfa nfa = RandomNfa(8, 0.3, 0.3, rng);
   const int n = 6;
-  for (bool csr : {true, false}) {
-    for (bool amortize : {true, false}) {
-      CountOptions o;
-      o.eps = 0.35;
-      o.delta = 0.2;
-      o.seed = TestSeed(392);
-      o.csr_hot_path = csr;
-      o.amortize_oracle = amortize;
-      CountOptions par = o;
-      par.num_threads = 6;
-      Result<CountEstimate> a = ApproxCount(nfa, n, o);
-      Result<CountEstimate> b = ApproxCount(nfa, n, par);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(a->estimate, b->estimate)
-          << "csr=" << csr << " amortize=" << amortize;
-    }
+  for (bool amortize : {true, false}) {
+    CountOptions o;
+    o.eps = 0.35;
+    o.delta = 0.2;
+    o.seed = TestSeed(392);
+    o.amortize_oracle = amortize;
+    CountOptions par = o;
+    par.num_threads = 6;
+    Result<CountEstimate> a = ApproxCount(nfa, n, o);
+    Result<CountEstimate> b = ApproxCount(nfa, n, par);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->estimate, b->estimate) << "amortize=" << amortize;
   }
 }
 

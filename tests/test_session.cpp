@@ -70,8 +70,8 @@ TEST(Session, IncrementalExtensionBitIdenticalToOneShot) {
 
 TEST(Session, ExtensionComposesWithKnobFlips) {
   // The determinism contracts must hold jointly with incrementality:
-  // extend-in-steps on (4 threads, batch 32, scalar, legacy layout) equals
-  // one-shot on the defaults.
+  // extend-in-steps on (4 threads, batch 32, scalar, no descent cache)
+  // equals one-shot on the defaults.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
   const int n = 8;
   CountOptions base = SessionTestOptions(TestSeed(821));
@@ -79,7 +79,7 @@ TEST(Session, ExtensionComposesWithKnobFlips) {
   flipped.num_threads = 4;
   flipped.batch_width = 32;
   flipped.simd_kernels = false;
-  flipped.csr_hot_path = false;
+  flipped.descent_cache_capacity = 0;
 
   Result<EngineSession> a = EngineSession::Create(nfa, n, base);
   ASSERT_TRUE(a.ok());
