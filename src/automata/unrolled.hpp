@@ -10,8 +10,11 @@
 // in both directions: forward CSR for membership/reach recomputation, reverse
 // CSR for the predecessor expansions that dominate Algorithm 2's walk. When
 // the automaton is small enough, each (state, symbol) row additionally carries
-// its target set as a Bitset mask so one frontier-propagation step is a
-// word-parallel OR of contiguous masks instead of a per-edge scatter.
+// its target set as a bit mask (one slab for all rows) so one
+// frontier-propagation step is a word-parallel OR of masks instead of a
+// per-edge scatter; smaller automata still get, in place of the forward
+// masks, one forward byte table per symbol class that turns a successor step
+// into one lookup per nonzero byte of the frontier.
 //
 // This module also provides the membership-oracle machinery: a stored sample
 // carries the reachable-state set of its word, making every membership query
@@ -159,12 +162,13 @@ class SampleBlock {
 /// recomputing row boundaries). Construction cost is one pass over Δ; the
 /// arrays never change afterwards.
 ///
-/// When num_states·|Σ|·num_states bits fit kMaskBitBudget, `row_masks`
-/// additionally stores each row's target set as a Bitset, enabling
+/// When num_states·|Σ|·num_states bits fit kMaskBitBudget, `mask_slab`
+/// additionally stores each row's target set as a bit mask — row r at
+/// MaskRow(r), ⌈m/64⌉ words, all rows in one allocation — enabling
 /// word-parallel frontier propagation (64 states per OR) in Step/PredSet.
 struct CsrTransitions {
-  /// Mask materialization budget in bits (32 MiB): above this the per-row
-  /// Bitset masks are skipped and stepping falls back to span scatter.
+  /// Mask materialization budget in bits (32 MiB): above this the row masks
+  /// are skipped and stepping falls back to span scatter.
   static constexpr size_t kMaskBitBudget = size_t{1} << 28;
 
   int num_states = 0;            ///< number of automaton states m
@@ -172,10 +176,14 @@ struct CsrTransitions {
   std::vector<int32_t> offsets;  ///< m·|Σ|+1 row starts into targets/symbols
   std::vector<StateId> targets;  ///< |Δ| edge endpoints, contiguous
   std::vector<Symbol> symbols;   ///< |Δ| edge labels, parallel to targets
-  std::vector<Bitset> row_masks; ///< per-row target Bitsets (empty if over budget)
+  size_t mask_words = 0;         ///< ⌈m/64⌉, the stride of mask_slab
+  std::vector<uint64_t> mask_slab;  ///< m·|Σ| row masks (empty if over budget
+                                    ///< or not asked for)
 
   /// CSR over the successor relation: row (q, a) lists {r : (q,a,r) ∈ Δ}.
-  static CsrTransitions FromSuccessors(const Nfa& nfa);
+  /// `with_masks = false` skips the row masks whatever their size (the
+  /// forward byte tables of UnrolledNfa replace them).
+  static CsrTransitions FromSuccessors(const Nfa& nfa, bool with_masks = true);
   /// CSR over the predecessor relation: row (q, a) lists {p : (p,a,q) ∈ Δ}.
   static CsrTransitions FromPredecessors(const Nfa& nfa);
 
@@ -190,8 +198,12 @@ struct CsrTransitions {
   const StateId* RowEnd(StateId q, Symbol a) const {
     return targets.data() + offsets[Row(q, a) + 1];
   }
-  /// True when per-row Bitset masks were materialized.
-  bool has_masks() const { return !row_masks.empty(); }
+  /// True when the row masks were materialized.
+  bool has_masks() const { return !mask_slab.empty(); }
+  /// Target set of row `r` as mask_words words (requires has_masks()).
+  const uint64_t* MaskRow(size_t r) const {
+    return mask_slab.data() + r * mask_words;
+  }
 
   /// One frontier step: out = ∪_{q ∈ from} row(q, symbol), word-parallel via
   /// masks when available, span scatter otherwise. `out` must be sized
@@ -253,15 +265,31 @@ class UnrolledNfa {
                         uint64_t* out, const simd::BitsetKernels& kern) const;
 
   /// One plain successor step over raw word spans (the fused reach-profile
-  /// pass of the batched plane). Bit-identical to SuccSetInto.
+  /// pass of the batched plane): `from` and `out` are (num_states+63)/64
+  /// words (distinct spans). The byte-table step is plain scalar code; the
+  /// row-mask fallback runs through the given kernel table. Bit-identical to
+  /// SuccSetInto for every table.
   void SuccSetWordsInto(const uint64_t* from, Symbol symbol, uint64_t* out,
                         const simd::BitsetKernels& kern) const;
 
-  /// One forward step clipped to nothing (plain successor image), CSR-backed.
+  /// One forward step clipped to nothing (plain successor image).
   void SuccSetInto(const Bitset& states, Symbol symbol, Bitset* out) const;
 
-  /// The reach profile {q : word ∈ L(q^{|word|})} via forward-CSR stepping.
+  /// The reach profile {q : word ∈ L(q^{|word|})} via forward stepping.
   Bitset ReachProfile(const Word& word) const;
+
+  /// Byte-table budget in bits (4 MiB), separate from kMaskBitBudget. From a
+  /// timed sweep over binary random automata (C = 2, 4-vCPU Xeon, 2 MiB L2
+  /// per core): at 4 MiB (m ≈ 700) a table step is 3-5x faster than the row
+  /// masks and the build costs under 1 ms; at 32 MiB (m = 2048) a sparse
+  /// automaton's step is no faster than the masks and the build costs 25 ms.
+  static constexpr size_t kByteTableBitBudget = size_t{1} << 25;
+
+  /// True when the forward byte tables were built (see byte_tables_), in
+  /// which case the forward CSR carries no row masks; false when they would
+  /// exceed kByteTableBitBudget, and forward steps fall back to the forward
+  /// row masks (or to CSR scatter past kMaskBitBudget).
+  bool has_byte_tables() const { return !byte_tables_.empty(); }
 
   /// Some witness word in L(q^ℓ), or nullopt if L(q^ℓ) is empty. Used to pad
   /// sample sets (Algorithm 3, lines 27-30). Deterministic.
@@ -276,11 +304,23 @@ class UnrolledNfa {
   bool MemberSlow(const Word& word, StateId q) const;
 
  private:
+  /// Fills byte_tables_ from the forward CSR.
+  void BuildByteTables();
+
   const Nfa* nfa_;
   int n_;
   SymbolClassIndex classes_;
   CsrTransitions forward_;
   CsrTransitions reverse_;
+  /// Forward byte tables, one per symbol class c: for byte j of a state set
+  /// and byte value v, the union of the successor rows (under c's
+  /// representative) of the states 8j + i with bit i of v set, ⌈m/64⌉ words
+  /// at ((c·table_bytes_ + j)·256 + v)·⌈m/64⌉. A forward step is then one
+  /// lookup per nonzero byte of the frontier instead of one row OR per
+  /// state. Built only when C·⌈m/8⌉·256·⌈m/64⌉ words fit
+  /// kByteTableBitBudget.
+  std::vector<uint64_t> byte_tables_;
+  size_t table_bytes_ = 0;  ///< ⌈m/8⌉, the byte positions per class table
   std::vector<Bitset> reachable_;  // [0..n]
 };
 

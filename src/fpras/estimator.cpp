@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "counting/union_mc.hpp"
@@ -93,13 +95,24 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
 std::unique_ptr<DescentCache::Entry> DescentCache::NewEntry(
     int level, const Bitset& set) const {
   assert(set.words().size() == row_words_);
-  auto entry = std::make_unique<Entry>();
-  entry->level = level;
-  entry->hash = KeyHash(level, set);
-  entry->key.assign(set.words().begin(), set.words().end());
-  entry->sizes.assign(static_cast<size_t>(symbol_rows_), 0.0);
-  entry->rows.assign(static_cast<size_t>(symbol_rows_) * row_words_, 0);
-  return entry;
+  // One block: the entry, then its sizes, key and rows (all 8-byte
+  // elements, so each array stays aligned behind the entry).
+  static_assert(sizeof(Entry) % alignof(uint64_t) == 0 &&
+                    sizeof(double) == sizeof(uint64_t),
+                "entry arrays must stay aligned in the block");
+  const size_t symbol_rows = static_cast<size_t>(symbol_rows_);
+  const size_t row_count = symbol_rows * row_words_;
+  void* block = ::operator new(sizeof(Entry) +
+                               (symbol_rows + row_words_ + row_count) *
+                                   sizeof(uint64_t));
+  double* sizes = reinterpret_cast<double*>(static_cast<Entry*>(block) + 1);
+  std::uninitialized_fill_n(sizes, symbol_rows, 0.0);
+  uint64_t* key = reinterpret_cast<uint64_t*>(sizes + symbol_rows);
+  std::uninitialized_copy(set.words().begin(), set.words().end(), key);
+  uint64_t* rows = key + row_words_;
+  std::uninitialized_fill_n(rows, row_count, uint64_t{0});
+  return std::unique_ptr<Entry>(new (block) Entry(
+      level, KeyHash(level, set), key, row_words_, sizes, rows, symbol_rows));
 }
 
 const DescentCache::Entry* DescentCache::Publish(
@@ -271,16 +284,15 @@ std::vector<StoredSample> FprasEngine::SamplesFor(StateId q, int level) const {
 
 void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                                  double delta_param, UnionPurpose purpose,
-                                 WorkerScratch& ws, std::vector<double>* out,
+                                 WorkerScratch& ws, double* sizes,
                                  uint64_t* rows) {
   assert(level >= 1 && level <= params_.n);
-  std::vector<double>& sizes = *out;
   const SymbolClassIndex& classes = unrolled_.symbol_classes();
   const int num_classes = classes.num_classes();
   const size_t row_words = ws.pred_scratch.words().size();
   const uint64_t family =
       purpose == UnionPurpose::kCount ? kCountUnionTag : kSampleUnionTag;
-  sizes.assign(static_cast<size_t>(num_classes), 0.0);
+  std::fill(sizes, sizes + num_classes, 0.0);
   AppUnionParams au = MakeUnionParams(params_, delta_param, level);
 
   for (int c = 0; c < num_classes; ++c) {
@@ -326,7 +338,7 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     ws.diag.appunion_trials += outcome.completed_trials;
     ws.diag.membership_checks += outcome.membership_checks;
     if (outcome.starved) ++ws.diag.starvations;
-    // The stored slice is WEIGHTED: out[c] = weight_c · sz_c, so the vector
+    // The stored slice is WEIGHTED: sizes[c] = weight_c · sz_c, so the array
     // still sums to the full per-symbol total N = Σ_b sz_b and a discrete
     // draw over it picks a class with the probability mass of all its
     // members combined.
@@ -384,27 +396,28 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
         // batches, cells, and draws.
         ar.frontier_scratch.AssignWords(ar.cur.Row(g), row_words);
         std::vector<double>& own = ar.group_sizes[static_cast<size_t>(g)];
+        own.resize(static_cast<size_t>(num_classes));
         const DescentCache::Entry* entry = nullptr;
         if (use_descent) {
           entry = DescentEntry(i, ar.frontier_scratch, delta_union, ws, &own);
         } else {
           UnionSizesInto(i, ar.frontier_scratch, delta_union,
-                         UnionPurpose::kSample, ws, &own);
+                         UnionPurpose::kSample, ws, own.data());
         }
         if (entry != nullptr) {
-          ar.group_weights[g] = &entry->sizes;
+          ar.group_weights[g] = entry->sizes.data();
           ar.group_rows[g] = entry->rows.data();
           ar.group_total[g] = entry->total;
         } else {
           double total = 0.0;
           for (double s : own) total += s;
-          ar.group_weights[g] = &own;
+          ar.group_weights[g] = own.data();
           ar.group_rows[g] = nullptr;
           ar.group_total[g] = total;
         }
         ar.group_ready[g] = 1;
       }
-      const std::vector<double>& sizes = *ar.group_weights[g];
+      const double* sizes = ar.group_weights[g];
       const double total = ar.group_total[g];
       if (!(total > 0.0)) {
         // Every symbol slice estimated empty: reachable only through a
@@ -420,7 +433,8 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
       // then a uniform member of the class — so a specific symbol b of
       // class c lands with probability sz_c / N, exactly the per-symbol
       // distribution of the uncompressed loop.
-      const int c = ar.rng[w].DiscreteIndex(sizes);
+      const int c = ar.rng[w].DiscreteIndex(
+          sizes, static_cast<size_t>(num_classes));
       assert(c >= 0);
       const int weight = classes.Weight(c);
       const Symbol b =
@@ -505,12 +519,12 @@ const DescentCache::Entry* FprasEngine::DescentEntry(
   std::unique_ptr<DescentCache::Entry> entry =
       descent_.NewEntry(level, frontier);
   UnionSizesInto(level, frontier, delta_union, UnionPurpose::kSample, ws,
-                 &entry->sizes, entry->rows.data());
+                 entry->sizes.data(), entry->rows.data());
   const DescentCache::Entry* published = descent_.Publish(entry);
   if (published != nullptr) {
     ws.descent.Remember(published);
   } else {
-    unpublished_sizes->swap(entry->sizes);
+    unpublished_sizes->assign(entry->sizes.begin(), entry->sizes.end());
   }
   return published;
 }
@@ -621,9 +635,10 @@ void FprasEngine::ProcessCell(StateId q, int level, WorkerScratch& ws) {
   singleton.Set(static_cast<size_t>(q));
   // N(q^ℓ) = Σ_b sz_b (lines 12-17). This union-size computation uses its
   // own δ and its own substream family — it is not shared with sample().
-  std::vector<double> sizes;
+  std::vector<double> sizes(
+      static_cast<size_t>(unrolled_.symbol_classes().num_classes()));
   UnionSizesInto(level, singleton, params_.DeltaForCountUnion(),
-                 UnionPurpose::kCount, ws, &sizes);
+                 UnionPurpose::kCount, ws, sizes.data());
   double total = 0.0;
   for (double s : sizes) total += s;
 

@@ -69,8 +69,10 @@
 #ifndef NFACOUNT_FPRAS_ESTIMATOR_HPP_
 #define NFACOUNT_FPRAS_ESTIMATOR_HPP_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -243,19 +245,74 @@ struct alignas(64) ProbeTally {
 /// mutated or freed until Reset(). A published `const Entry*` therefore stays
 /// valid without a lock, which is what lets each thread keep a private
 /// Reader front table: a hit takes no lock and writes no shared cache line.
+/// Each entry is one heap block holding the entry and its three arrays, so a
+/// miss costs one allocation (plus the shard map's node).
 /// A capacity of 0 disables the cache.
 class DescentCache {
  public:
+  /// A fixed-length array living inside an entry's block: indexed and
+  /// compared like the std::vector it stands for, and assignable from a
+  /// vector of the same length (the contents are copied in place). Not
+  /// copyable — it does not own its storage.
+  template <typename T>
+  class Slice {
+   public:
+    using value_type = T;
+    using iterator = T*;
+    using const_iterator = const T*;
+
+    Slice(T* data, size_t size) : data_(data), size_(size) {}
+    Slice(const Slice&) = delete;
+    Slice& operator=(const Slice&) = delete;
+    Slice& operator=(const std::vector<T>& values) {
+      assert(values.size() == size_);
+      std::copy(values.begin(), values.end(), data_);
+      return *this;
+    }
+    operator std::vector<T>() const { return std::vector<T>(begin(), end()); }
+
+    size_t size() const { return size_; }
+    T* data() { return data_; }
+    const T* data() const { return data_; }
+    T& operator[](size_t i) { return data_[i]; }
+    const T& operator[](size_t i) const { return data_[i]; }
+    const T& back() const { return data_[size_ - 1]; }
+    T* begin() { return data_; }
+    T* end() { return data_ + size_; }
+    const T* begin() const { return data_; }
+    const T* end() const { return data_ + size_; }
+
+    friend bool operator==(const Slice& a, const Slice& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+    friend bool operator==(const Slice& a, const std::vector<T>& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+   private:
+    T* data_;
+    size_t size_;
+  };
+
   /// One (level, frontier) entry: the frontier words it is keyed by, the
   /// weighted per-class union sizes and their index-order sum, and every
-  /// class's predecessor row (class-major, row_words words each).
+  /// class's predecessor row (class-major, row_words words each). The three
+  /// arrays sit in the entry's own block, right behind it (see NewEntry).
   struct Entry {
-    int level = 0;
-    uint64_t hash = 0;           ///< KeyHash(level, frontier)
-    std::vector<uint64_t> key;   ///< frontier words
-    std::vector<double> sizes;   ///< weight_c · sz_c per class
-    double total = 0.0;          ///< Σ sizes, summed in index order
-    std::vector<uint64_t> rows;  ///< Pred(frontier, rep_c) per class c
+    Entry(int lvl, uint64_t key_hash, uint64_t* key_words, size_t row_words,
+          double* class_sizes, uint64_t* class_rows, size_t symbol_rows)
+        : level(lvl),
+          hash(key_hash),
+          key(key_words, row_words),
+          sizes(class_sizes, symbol_rows),
+          rows(class_rows, symbol_rows * row_words) {}
+
+    int level;
+    uint64_t hash;          ///< KeyHash(level, frontier)
+    double total = 0.0;     ///< Σ sizes, summed in index order
+    Slice<uint64_t> key;    ///< frontier words
+    Slice<double> sizes;    ///< weight_c · sz_c per class
+    Slice<uint64_t> rows;   ///< Pred(frontier, rep_c) per class c
 
     const uint64_t* Row(int symbol_class) const {
       return rows.data() + static_cast<size_t>(symbol_class) * key.size();
@@ -263,6 +320,9 @@ class DescentCache {
     bool Matches(int lvl, const Bitset& set) const {
       return level == lvl && key == set.words();
     }
+
+    /// Frees the whole block (entry and arrays) NewEntry allocated.
+    static void operator delete(void* block) { ::operator delete(block); }
   };
 
   /// A thread's private view of the cache: a read-only front table of
@@ -307,8 +367,9 @@ class DescentCache {
     return HashCombine(static_cast<uint64_t>(level), set.Hash());
   }
 
-  /// A blank entry for (level, set) in this cache's geometry: key and hash
-  /// filled, sizes and rows zeroed for the builder to fill.
+  /// A blank entry for (level, set) in this cache's geometry, allocated as
+  /// one block: key and hash filled, sizes and rows zeroed for the builder
+  /// to fill.
   std::unique_ptr<Entry> NewEntry(int level, const Bitset& set) const;
 
   /// Publishes a fully built entry (computing its total) and returns the
@@ -542,12 +603,12 @@ class FprasEngine {
   enum class UnionPurpose { kCount, kSample };
 
   /// The per-symbol-class decomposition of ∪_{q∈P} L(q^level) (Alg. 2 lines
-  /// 8-11 compressed over the symbol partition): out[c] = weight_c · sz_c,
+  /// 8-11 compressed over the symbol partition): sizes[c] = weight_c · sz_c,
   /// where sz_c is one AppUnion estimate of the class's shared predecessor
   /// slice — every member of a class has the same Pred(P, b), so one PredSet
-  /// expansion and one AppUnion cover weight_c symbols and Σ_c out[c] is the
-  /// full per-symbol total. Runs with parameters (β, delta_param); capacity
-  /// of *out is reused across calls. Each class draws from a substream keyed
+  /// expansion and one AppUnion cover weight_c symbols and Σ_c sizes[c] is the
+  /// full per-symbol total. Runs with parameters (β, delta_param) and writes
+  /// sizes[0..C), C the class count. Each class draws from a substream keyed
   /// by (purpose, level, predecessor-set content), so the result is a
   /// deterministic function of the engine seed and the arguments —
   /// independent of caller, thread, and cache state — and classes that share
@@ -556,8 +617,8 @@ class FprasEngine {
   /// predecessor row Pred(state_set, rep_c) (class-major, ⌈m/64⌉ words
   /// each) — the expansions the estimation performs anyway.
   void UnionSizesInto(int level, const Bitset& state_set, double delta_param,
-                      UnionPurpose purpose, WorkerScratch& ws,
-                      std::vector<double>* out, uint64_t* rows = nullptr);
+                      UnionPurpose purpose, WorkerScratch& ws, double* sizes,
+                      uint64_t* rows = nullptr);
 
   /// One descent-cache probe for a walk group at (level, frontier): the
   /// published entry, built and published here on a miss. nullptr when the

@@ -128,9 +128,9 @@ class SampleArena {
 
   // Per-group state at the current level, indexed by group id.
   std::vector<std::vector<double>> group_sizes;  ///< uncached weighted sz_c
-  /// The weighted sz_c vector each group draws from: a descent-cache
-  /// entry's, or the group's own group_sizes slot when uncached.
-  std::vector<const std::vector<double>*> group_weights;
+  /// The C weighted sz_c each group draws from: a descent-cache entry's, or
+  /// the group's own group_sizes slot when uncached.
+  std::vector<const double*> group_weights;
   /// Cached predecessor rows (class-major) of each group's frontier, or
   /// nullptr when the group expands its drawn classes itself.
   std::vector<const uint64_t*> group_rows;

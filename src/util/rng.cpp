@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 
@@ -61,21 +62,21 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-int Rng::DiscreteIndex(const std::vector<double>& weights) {
+int Rng::DiscreteIndex(const double* weights, size_t k) {
   double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
+  for (size_t i = 0; i < k; ++i) {
+    assert(weights[i] >= 0.0);
+    total += weights[i];
   }
   if (!(total > 0.0)) return -1;
   double u = UniformDouble() * total;
   double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
+  for (size_t i = 0; i < k; ++i) {
     acc += weights[i];
     if (u < acc) return static_cast<int>(i);
   }
   // Floating-point slack: fall back to the last positive weight.
-  for (size_t i = weights.size(); i-- > 0;) {
+  for (size_t i = k; i-- > 0;) {
     if (weights[i] > 0.0) return static_cast<int>(i);
   }
   return -1;
@@ -96,21 +97,38 @@ void DiscreteTable::Rebuild(const std::vector<double>& weights) {
   }
   total_ = acc;
 
-  // K = 2^B buckets: the next power of two >= 2k, capped at 2^16.
+  // K = 2^B buckets: the next power of two >= 16k (at least 16), capped at
+  // 2^16.
+  constexpr int kMinGuideBits = 4;
   constexpr int kMaxGuideBits = 16;
-  int bits = 1;
-  while (bits < kMaxGuideBits && (size_t{1} << bits) < 2 * k) ++bits;
+  assert(k < kPure);
+  int bits = kMinGuideBits;
+  while (bits < kMaxGuideBits && (size_t{1} << bits) < 16 * k) ++bits;
   const size_t buckets = size_t{1} << bits;
   guide_shift_ = 53 - bits;
   guide_.resize(buckets);
+  if (!(total_ > 0.0)) return;  // Draw never reads the guide
   // start[b] = #{i : prefix[i] <= fl((b/K)·total)}; the thresholds never
-  // decrease in b, so one merge pass fills every bucket.
+  // decrease in b, so one merge pass fills every bucket. A bucket whose
+  // first and last draws scan to the same index is pure. Every index below
+  // a draw's answer fails for all later draws too, so the first draw's scan
+  // resumes at the previous bucket's last answer and the last draw's at the
+  // first's.
   const double inv_buckets = 1.0 / static_cast<double>(buckets);
-  size_t start = 0;
+  const uint64_t last_in_bucket = (uint64_t{1} << guide_shift_) - 1;
+  size_t start = 0, previous = 0;
   for (size_t b = 0; b < buckets; ++b) {
     const double threshold = (static_cast<double>(b) * inv_buckets) * total_;
     while (start < k && prefix_[start] <= threshold) ++start;
-    guide_[b] = static_cast<uint32_t>(start);
+    const uint64_t first = static_cast<uint64_t>(b) << guide_shift_;
+    const size_t lo = ScanIndex(first, std::max(start, previous));
+    previous = ScanIndex(first + last_in_bucket, lo);
+    if (lo == previous) {
+      guide_[b] = kPure | static_cast<uint32_t>(
+                              lo < k ? lo : static_cast<size_t>(last_positive_));
+    } else {
+      guide_[b] = static_cast<uint32_t>(start);
+    }
   }
 }
 

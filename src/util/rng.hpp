@@ -81,7 +81,11 @@ class Rng {
   /// Index i drawn with probability weights[i] / sum(weights).
   /// Weights must be non-negative with a positive finite sum; returns -1 if
   /// the sum is not positive. O(k) per draw (k is small in all call sites).
-  int DiscreteIndex(const std::vector<double>& weights);
+  int DiscreteIndex(const std::vector<double>& weights) {
+    return DiscreteIndex(weights.data(), weights.size());
+  }
+  /// DiscreteIndex over the k weights at `weights`.
+  int DiscreteIndex(const double* weights, size_t k);
 
   /// Derives an independent child generator (distinct stream).
   Rng Split();
@@ -107,17 +111,25 @@ class Rng {
 /// bit-identical index Rng::DiscreteIndex picks for the same generator state,
 /// in expected O(1) time instead of DiscreteIndex's O(k) scan.
 ///
-/// The prefix sums accumulate in DiscreteIndex's order, so the answer is the
-/// first i with u < prefix[i], u = UniformDouble()·total. The guide table
-/// splits [0, 1) into K = 2^B buckets (K the next power of two ≥ 2k, capped
-/// at 2^16): the draw's bucket b is the top B bits of the 53-bit integer
-/// UniformDouble is built from, so r ≥ b/K holds exactly for its r ∈ [0, 1).
-/// Bucket b starts the scan at #{i : prefix[i] ≤ fl((b/K)·total)}; rounding
-/// is monotone, so u = fl(r·total) ≥ fl((b/K)·total) and no index below the
-/// start can satisfy u < prefix[i]. The scan then walks forward to the first
-/// i that does. When none does (floating-point slack), the draw falls back to
-/// the last positive weight, exactly as DiscreteIndex does. Rebuild() reuses
-/// the table's storage across calls.
+/// The prefix sums accumulate in DiscreteIndex's order, so the answer for the
+/// 53-bit integer x UniformDouble is built from is the first i with
+/// u < prefix[i], u = fl(x·2⁻⁵³·total), or the last positive weight when no i
+/// qualifies (floating-point slack), exactly as DiscreteIndex falls back.
+/// That answer never decreases as x grows: u is monotone in x, and the
+/// fallback is at least every index the scan can return (prefixes past the
+/// last positive weight repeat its prefix).
+///
+/// The guide table splits the 53-bit range into K = 2^B buckets (K the next
+/// power of two ≥ 16k, at least 16, capped at 2^16); a draw's bucket is the
+/// top B bits of x. A bucket whose first and last x resolve to the same
+/// index is *pure*: by monotonicity every x in it resolves there, so its
+/// entry stores that index with kPure set and Select() answers without
+/// reading the prefix sums. Only a bucket holding one of the k thresholds can
+/// be impure, so below the cap at most one draw in 16 scans. An impure bucket
+/// b stores the scan start #{i : prefix[i] ≤ fl((b/K)·total)}; rounding is
+/// monotone, so no index below it can satisfy u < prefix[i], and the scan
+/// walks forward from there. Rebuild() reuses the table's storage across
+/// calls.
 class DiscreteTable {
  public:
   DiscreteTable() = default;
@@ -132,21 +144,48 @@ class DiscreteTable {
   /// Sum of the weights (0 before Rebuild).
   double total() const { return total_; }
 
+  /// Number of guide buckets K; bucket b holds the 53-bit draws
+  /// [b·2⁵³/K, (b+1)·2⁵³/K).
+  size_t buckets() const { return guide_.size(); }
+
   /// Index i drawn with probability weights[i] / total, or -1 when !valid().
   /// Identical selection to Rng::DiscreteIndex on the same weights and rng.
   int Draw(Rng& rng) const {
     if (!(total_ > 0.0)) return -1;
-    const uint64_t bits = rng.NextU64() >> 11;  // UniformDouble's 53 bits
-    const double u = static_cast<double>(bits) * 0x1.0p-53 * total_;
-    size_t i = guide_[static_cast<size_t>(bits >> guide_shift_)];
-    const size_t k = prefix_.size();
-    while (i < k && !(u < prefix_[i])) ++i;
-    return i < k ? static_cast<int>(i) : last_positive_;
+    return Select(rng.NextU64() >> 11);  // UniformDouble's 53 bits
+  }
+
+  /// The index Draw() returns when the generator yields 53-bit value `bits`
+  /// (< 2^53). Requires valid().
+  int Select(uint64_t bits) const {
+    const uint32_t entry = guide_[static_cast<size_t>(bits >> guide_shift_)];
+    if (entry & kPure) return static_cast<int>(entry & ~kPure);
+    return Scan(bits, entry);
   }
 
  private:
+  /// Guide-entry flag: the bucket resolves to one index, stored in the
+  /// remaining bits.
+  static constexpr uint32_t kPure = uint32_t{1} << 31;
+
+  /// First i ≥ start with u < prefix[i] for the draw `bits`, or k when no
+  /// such i exists.
+  size_t ScanIndex(uint64_t bits, size_t start) const {
+    const double u = static_cast<double>(bits) * 0x1.0p-53 * total_;
+    const size_t k = prefix_.size();
+    size_t i = start;
+    while (i < k && !(u < prefix_[i])) ++i;
+    return i;
+  }
+
+  /// ScanIndex, with k mapped to the floating-point-slack fallback.
+  int Scan(uint64_t bits, size_t start) const {
+    const size_t i = ScanIndex(bits, start);
+    return i < prefix_.size() ? static_cast<int>(i) : last_positive_;
+  }
+
   std::vector<double> prefix_;
-  std::vector<uint32_t> guide_;  // per bucket: first index the scan tests
+  std::vector<uint32_t> guide_;  // per bucket: kPure|index, or a scan start
   int guide_shift_ = 53;         // 53 - B: bucket = bits >> guide_shift_
   int last_positive_ = -1;       // the floating-point-slack fallback
   double total_ = 0.0;

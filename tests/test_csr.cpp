@@ -149,6 +149,82 @@ TEST(Csr, ReachProfileMatchesNfaReach) {
   }
 }
 
+// Each row of the mask slab holds exactly its CSR target list, in both
+// directions, with no bit set past the last state.
+TEST(Csr, SlabRowsEqualTargetLists) {
+  Rng rng(TestSeed(107));
+  for (int m : {5, 64, 65, 130}) {
+    const Nfa nfa = RandomNfa(m, 0.2, 0.3, rng);
+    for (const CsrTransitions& csr : {CsrTransitions::FromSuccessors(nfa),
+                                      CsrTransitions::FromPredecessors(nfa)}) {
+      ASSERT_TRUE(csr.has_masks());
+      const size_t rows =
+          static_cast<size_t>(csr.num_states) * csr.alphabet_size;
+      ASSERT_EQ(csr.mask_words, (static_cast<size_t>(m) + 63) / 64);
+      ASSERT_EQ(csr.mask_slab.size(), rows * csr.mask_words);
+      for (size_t r = 0; r < rows; ++r) {
+        std::vector<StateId> in_mask;
+        const uint64_t* mask = csr.MaskRow(r);
+        for (size_t bit = 0; bit < csr.mask_words * 64; ++bit) {
+          if ((mask[bit >> 6] >> (bit & 63)) & 1) {
+            in_mask.push_back(static_cast<StateId>(bit));
+          }
+        }
+        std::vector<StateId> listed(
+            csr.targets.begin() + csr.offsets[r],
+            csr.targets.begin() + csr.offsets[r + 1]);
+        std::sort(listed.begin(), listed.end());
+        listed.erase(std::unique(listed.begin(), listed.end()), listed.end());
+        EXPECT_EQ(in_mask, listed) << "m=" << m << " row=" << r;
+      }
+    }
+  }
+}
+
+// The forward byte tables are built exactly when C·⌈m/8⌉·256·⌈m/64⌉ words
+// fit kByteTableBitBudget; with them the forward CSR carries no row masks,
+// without them it does. At C = 2, m = 704 and 705 straddle the 4 MiB budget,
+// and a sparse m ≈ 2100 automaton is far past it (but not past the row
+// masks' budget). Every layout steps and profiles like Nfa::Step/Nfa::Reach.
+TEST(Csr, ByteTableBudgetDecidesForwardLayout) {
+  Rng rng(TestSeed(108));
+  int with_tables = 0;
+  int without_tables = 0;
+  for (int m : {704, 705, 2100}) {
+    const Nfa nfa = RandomNfa(m, m > 1000 ? 0.002 : 0.01, 0.05, rng);
+    UnrolledNfa unr(&nfa, 2, /*symbol_classes=*/false);
+    const size_t words = 2 * ((static_cast<size_t>(m) + 7) / 8) * 256 *
+                         ((static_cast<size_t>(m) + 63) / 64);
+    const bool fits = words * 64 <= UnrolledNfa::kByteTableBitBudget;
+    ASSERT_EQ(unr.has_byte_tables(), fits) << "m=" << m;
+    EXPECT_EQ(unr.forward_csr().has_masks(), !fits) << "m=" << m;
+    EXPECT_TRUE(unr.reverse_csr().has_masks()) << "m=" << m;
+    ++(fits ? with_tables : without_tables);
+    Bitset out(static_cast<size_t>(m));
+    for (double density : {0.001, 0.05, 0.5}) {
+      Bitset from(static_cast<size_t>(m));
+      for (StateId q = 0; q < m; ++q) {
+        if (rng.Bernoulli(density)) from.Set(static_cast<size_t>(q));
+      }
+      for (int a = 0; a < 2; ++a) {
+        unr.SuccSetInto(from, static_cast<Symbol>(a), &out);
+        EXPECT_EQ(out, nfa.Step(from, static_cast<Symbol>(a)))
+            << "m=" << m << " density=" << density << " a=" << a;
+      }
+    }
+    for (int trial = 0; trial < 5; ++trial) {
+      Word w;
+      for (int i = 0; i < 4; ++i) {
+        w.push_back(static_cast<Symbol>(rng.UniformU64(2)));
+      }
+      EXPECT_EQ(unr.ReachProfile(w), nfa.Reach(w))
+          << "m=" << m << " " << WordToString(w);
+    }
+  }
+  EXPECT_EQ(with_tables, 1);
+  EXPECT_EQ(without_tables, 2);
+}
+
 // MembershipBatch::CoveredBefore must equal the naive prefix loop.
 TEST(Csr, MembershipBatchMatchesNaivePrefixScan) {
   Rng rng(TestSeed(106));

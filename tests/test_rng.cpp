@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -201,6 +202,105 @@ TEST(DiscreteTable, MatchesDiscreteIndexOnHugeAndSubnormalTotals) {
   ExpectTableMatchesDiscreteIndex({1e308, 1e308, 1e308, 0.0}, 56);
   ExpectTableMatchesDiscreteIndex({4.9e-324, 1e-320, 0.0, 2e-322}, 57);
   ExpectTableMatchesDiscreteIndex({1e-310, 1e-315, 1e-312}, 58);
+}
+
+/// Rng::DiscreteIndex's rule for the draw whose UniformDouble is built from
+/// the 53-bit integer `bits`: the first i with u < prefix[i],
+/// u = (bits·2⁻⁵³)·total, else the last positive weight. Prefix sums run in
+/// DiscreteIndex's order; prefixes never decrease, so the first such i is an
+/// upper_bound.
+struct DiscreteIndexRule {
+  explicit DiscreteIndexRule(const std::vector<double>& weights) {
+    double acc = 0.0;
+    for (size_t i = 0; i < weights.size(); ++i) {
+      acc += weights[i];
+      prefix.push_back(acc);
+      if (weights[i] > 0.0) last_positive = static_cast<int>(i);
+    }
+    total = acc;
+  }
+  double U(uint64_t bits) const {
+    return static_cast<double>(bits) * 0x1.0p-53 * total;
+  }
+  int Select(uint64_t bits) const {
+    const auto it = std::upper_bound(prefix.begin(), prefix.end(), U(bits));
+    return it != prefix.end() ? static_cast<int>(it - prefix.begin())
+                              : last_positive;
+  }
+  std::vector<double> prefix;
+  double total = 0.0;
+  int last_positive = -1;
+};
+
+/// Checks DiscreteTable::Select against the rule at the first and last
+/// 53-bit value of every guide bucket and on either side of every prefix
+/// threshold. The rule itself is first pinned to Rng::DiscreteIndex in
+/// lockstep on 1000 draws.
+void ExpectSelectFollowsRuleAtEveryEdge(const std::vector<double>& weights,
+                                        uint64_t seed) {
+  const DiscreteIndexRule rule(weights);
+  Rng via_index(seed), via_rule(seed);
+  for (int d = 0; d < 1000; ++d) {
+    ASSERT_EQ(rule.Select(via_rule.NextU64() >> 11),
+              via_index.DiscreteIndex(weights))
+        << "draw " << d;
+  }
+
+  DiscreteTable table;
+  table.Rebuild(weights);
+  ASSERT_TRUE(table.valid());
+  constexpr uint64_t kEnd = uint64_t{1} << 53;
+  const size_t buckets = table.buckets();
+  ASSERT_GE(buckets, 16u);
+  ASSERT_LE(buckets, size_t{1} << 16);
+  ASSERT_EQ(buckets & (buckets - 1), 0u);
+  const uint64_t width = kEnd / buckets;
+  for (size_t b = 0; b < buckets; ++b) {
+    const uint64_t first = b * width;
+    const uint64_t last = first + width - 1;
+    ASSERT_EQ(table.Select(first), rule.Select(first)) << "bucket " << b;
+    ASSERT_EQ(table.Select(last), rule.Select(last)) << "bucket " << b;
+  }
+  // Threshold i: the smallest x whose u reaches prefix[i] (u is monotone
+  // in x), found by bisection; check x - 1 and x.
+  for (double threshold : rule.prefix) {
+    uint64_t lo = 0, hi = kEnd;  // the answer lies in [lo, hi]
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (rule.U(mid) >= threshold) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    for (uint64_t x : {lo - 1, lo}) {
+      if (lo == 0 && x == lo - 1) continue;
+      if (x >= kEnd) continue;
+      ASSERT_EQ(table.Select(x), rule.Select(x))
+          << "x=" << x << " threshold=" << threshold;
+    }
+  }
+}
+
+TEST(DiscreteTable, SelectFollowsDiscreteIndexRuleAtBucketAndThresholdEdges) {
+  // Zero weights, leading, trailing and interleaved.
+  ExpectSelectFollowsRuleAtEveryEdge({0.0, 0.0, 0.0, 1.0, 2.0, 3.0}, 61);
+  ExpectSelectFollowsRuleAtEveryEdge({1.0, 0.0, 0.0, 2.0, 0.0, 3.0, 0.0}, 62);
+  // Tiny weights absorbed by the running sum.
+  ExpectSelectFollowsRuleAtEveryEdge({1.0, 1e-20, 1.0}, 63);
+  ExpectSelectFollowsRuleAtEveryEdge({1e-20, 1.0, 1e-20}, 64);
+  // k = 1: every bucket is pure.
+  ExpectSelectFollowsRuleAtEveryEdge({5.0}, 65);
+  // k above 2^16/16: the bucket count is capped, so some buckets hold
+  // several thresholds.
+  const size_t k = (size_t{1} << 12) + 1;
+  std::vector<double> harmonic(k);
+  for (size_t i = 0; i < k; ++i) {
+    harmonic[i] = i % 10 == 9 ? 0.0 : 1.0 / static_cast<double>(i + 1);
+  }
+  ExpectSelectFollowsRuleAtEveryEdge(harmonic, 66);
+  // An infinite total: every draw takes the slack fallback.
+  ExpectSelectFollowsRuleAtEveryEdge({1e308, 1e308, 1e308, 0.0}, 67);
 }
 
 TEST(DiscreteTable, InvalidWithoutPositiveTotal) {

@@ -158,6 +158,80 @@ TEST(Unrolled, PredSetRespectsLevelReachability) {
   EXPECT_TRUE(unr.PredSet(target, 0, 2).None());
 }
 
+/// A random m-state NFA over 4 symbols in which symbols 2 and 3 repeat the
+/// rows of symbols 0 and 1, so the symbol-class partition is nontrivial.
+Nfa RepeatedRowNfa(int m, Rng& rng) {
+  Nfa nfa(4);
+  nfa.AddStates(m);
+  nfa.SetInitial(0);
+  nfa.AddAccepting(static_cast<StateId>(m - 1));
+  for (StateId q = 0; q < m; ++q) {
+    for (int a = 0; a < 2; ++a) {
+      for (StateId r = 0; r < m; ++r) {
+        if (rng.Bernoulli(0.3)) {
+          nfa.AddTransition(q, static_cast<Symbol>(a), r);
+          nfa.AddTransition(q, static_cast<Symbol>(a + 2), r);
+        }
+      }
+    }
+  }
+  return nfa;
+}
+
+// The forward byte tables must step exactly like Nfa::Step at every state
+// count around the byte and word boundaries, with the symbol-class partition
+// on and off, on empty, full, singleton and random frontiers.
+TEST(Unrolled, ByteTableStepMatchesNfaStep) {
+  Rng rng(TestSeed(8));
+  for (int m : {1, 7, 8, 9, 63, 64, 65, 130}) {
+    const Nfa nfa = RepeatedRowNfa(m, rng);
+    std::vector<Bitset> frontiers(3, Bitset(static_cast<size_t>(m)));
+    frontiers[1].SetAll();
+    for (double density : {0.1, 0.5, 0.9}) {
+      Bitset random(static_cast<size_t>(m));
+      for (StateId q = 0; q < m; ++q) {
+        if (rng.Bernoulli(density)) random.Set(static_cast<size_t>(q));
+      }
+      frontiers.push_back(random);
+    }
+    frontiers[2].Set(static_cast<size_t>(m - 1));
+    for (StateId q = 0; q < m; ++q) {
+      Bitset single(static_cast<size_t>(m));
+      single.Set(static_cast<size_t>(q));
+      frontiers.push_back(single);
+    }
+    for (bool classes : {true, false}) {
+      UnrolledNfa unr(&nfa, 3, classes);
+      ASSERT_TRUE(unr.has_byte_tables()) << "m=" << m;
+      EXPECT_FALSE(unr.forward_csr().has_masks()) << "m=" << m;
+      if (classes) {
+        EXPECT_LE(unr.symbol_classes().num_classes(), 2);
+      }
+      Bitset out(static_cast<size_t>(m));
+      for (const Bitset& from : frontiers) {
+        for (int a = 0; a < nfa.alphabet_size(); ++a) {
+          const Symbol sym = static_cast<Symbol>(a);
+          const Bitset expect = nfa.Step(from, sym);
+          unr.SuccSetInto(from, sym, &out);
+          EXPECT_EQ(out, expect) << "m=" << m << " classes=" << classes
+                                 << " a=" << a;
+          std::vector<uint64_t> words(expect.words().size(), ~uint64_t{0});
+          unr.SuccSetWordsInto(from.words().data(), sym, words.data(),
+                               simd::ActiveKernels());
+          EXPECT_EQ(words, expect.words()) << "m=" << m << " a=" << a;
+        }
+      }
+      for (int trial = 0; trial < 10; ++trial) {
+        Word w;
+        for (int i = 0; i < 3; ++i) {
+          w.push_back(static_cast<Symbol>(rng.UniformU64(4)));
+        }
+        EXPECT_EQ(unr.ReachProfile(w), nfa.Reach(w)) << WordToString(w);
+      }
+    }
+  }
+}
+
 TEST(Unrolled, NZeroOnlyLevelZero) {
   Nfa nfa = DenseCompleteNfa(3);
   UnrolledNfa unr(&nfa, 0);
